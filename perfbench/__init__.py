@@ -1,0 +1,6 @@
+"""The repository benchmark: seeded workloads against the public API.
+
+Run ``python3 perfbench/run.py --workload <name> --seed <n> --seconds
+<s> --trace <0|1>`` from the repository root; see ``perfbench/README.md``
+for the workloads and the metric map.
+"""
