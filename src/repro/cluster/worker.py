@@ -27,6 +27,7 @@ import numpy as np
 
 from ..executor.topk_index import ShardTopK
 from ..incremental.plan import PackedPlanBatch
+from ..linalg.scatter import scatter_add
 from .messages import (
     AddNodeCmd,
     AddRowsCmd,
@@ -252,16 +253,17 @@ class WorkerShardStore:
 
         Identical arithmetic to
         :meth:`repro.executor.score_store.ScoreStore.apply_plan`: the
-        same densified panels, the same single GEMM, and the same
-        per-shard row-slice scatter-adds, so the result is bit-identical
-        to the in-process executor on the rows this worker owns.
+        same :meth:`~repro.incremental.plan.UpdatePlan.blocks` GEMM and
+        the same per-shard row-slice
+        :func:`~repro.linalg.scatter.scatter_add` calls, so the result is
+        bit-identical to the in-process executor on the rows this worker
+        owns.
         """
         if plan.is_noop:
             return
-        left, right = plan.panels()
-        block = left @ right.T
+        block, block_t = plan.blocks()
         self._scatter_add(plan.rows_union, plan.cols_union, block)
-        self._scatter_add(plan.cols_union, plan.rows_union, block.T)
+        self._scatter_add(plan.cols_union, plan.rows_union, block_t)
         if self._topk is not None:
             self._topk.on_plan(plan)
 
@@ -280,7 +282,7 @@ class WorkerShardStore:
                 continue
             started = time.perf_counter()
             buffer = self._writable(shard_id)
-            buffer[np.ix_(rows[lo:hi] - shard.base, cols)] += block[lo:hi]
+            scatter_add(buffer, rows[lo:hi] - shard.base, cols, block[lo:hi])
             self.timing[shard_id] = self.timing.get(shard_id, 0.0) + (
                 time.perf_counter() - started
             )

@@ -10,8 +10,11 @@ covering ``shard_rows`` consecutive rows — which buys three things:
 * **per-shard plan application**: a kernel
   :class:`~repro.incremental.plan.UpdatePlan` touches only the shards
   overlapping its union supports; each overlapping shard receives its
-  row slice of the one union-support GEMM block (bit-identical to the
-  dense scatter, each score entry still gets exactly one add);
+  row slice of the one union-support GEMM block through the shared
+  flat-index kernel :func:`~repro.linalg.scatter.scatter_add`
+  (bit-identical to the dense executor, each score entry still gets
+  exactly one add).  The scatter, not the GEMM, is the dominant cost of
+  applying a plan, so it is the part worth keeping cheap;
 * **independent growth**: node arrival grows at most the tail shard's
   rows and each shard's column capacity (amortized by doubling), never
   reallocating ``S`` wholesale; and
@@ -39,10 +42,12 @@ import numpy as np
 
 from ..dtypes import DEFAULT_FLOAT_DTYPE, resolve_dtype
 from ..exceptions import DimensionError
+from ..linalg.scatter import scatter_add
 
 #: Default rows per shard.  Small enough that copy-on-write divergence
-#: and per-shard growth stay cheap, large enough that per-shard scatter
-#: overhead is negligible against the union-support GEMM.
+#: and per-shard growth stay cheap.  The scatter's cost follows the
+#: entries written, not the shard count: each overlapping shard pays one
+#: flat-index add over its row slice of the block.
 DEFAULT_SHARD_ROWS = 512
 
 #: Samples kept in the bounded recent window of per-plan apply seconds
@@ -534,9 +539,10 @@ class ScoreStore:
         if plan.is_noop:
             return
         self._shard_timing = {}
+        started = time.perf_counter()
         self._apply_plan_scatter(plan)
+        self._apply_hist.observe(time.perf_counter() - started)
         self.apply_metrics.record(self._shard_timing)
-        self._apply_hist.observe(sum(self._shard_timing.values()))
         self.version += 1
         if self._topk is not None:
             self._topk.on_plan(plan)
@@ -547,12 +553,12 @@ class ScoreStore:
         Every executor path (per-plan apply, batched apply, the cluster
         planning overlay via inheritance) funnels through this — the
         bit-equivalence gate rides on them staying one implementation.
-        Timings land in ``self._shard_timing`` (caller resets it).
+        Per-shard scatter timings land in ``self._shard_timing``
+        (caller resets it); the caller times the whole plan.
         """
-        left, right = plan.panels()
-        block = left @ right.T
+        block, block_t = plan.blocks()
         self._scatter_add(plan.rows_union, plan.cols_union, block)
-        self._scatter_add(plan.cols_union, plan.rows_union, block.T)
+        self._scatter_add(plan.cols_union, plan.rows_union, block_t)
 
     def apply_batch(self, batch, planned_on=None) -> None:
         """Apply a :class:`~repro.incremental.plan.PlanBatch` in order.
@@ -575,13 +581,14 @@ class ScoreStore:
         per_plan: List[float] = []
         for plan in live:
             self._shard_timing = {}
+            started = time.perf_counter()
             self._apply_plan_scatter(plan)
+            self._apply_hist.observe(time.perf_counter() - started)
             plan_total = 0.0
             for shard_id, seconds in self._shard_timing.items():
                 timing[shard_id] = timing.get(shard_id, 0.0) + seconds
                 plan_total += seconds
             per_plan.append(plan_total)
-            self._apply_hist.observe(plan_total)
             self.version += 1
             if self._topk is not None:
                 self._topk.on_plan(plan)
@@ -600,7 +607,7 @@ class ScoreStore:
         """One shard's slice of the scatter, timed into the apply gauges."""
         started = time.perf_counter()
         buffer = self._writable(shard)
-        buffer[np.ix_(rows - shard.base, cols)] += block
+        scatter_add(buffer, rows - shard.base, cols, block)
         self._shard_timing[shard_id] = self._shard_timing.get(
             shard_id, 0.0
         ) + (time.perf_counter() - started)

@@ -31,6 +31,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..config import SimRankConfig
+from ..linalg.scatter import scatter_add
 from .affected import AffectedAreaStats
 from .gamma import UpdateVectors
 
@@ -140,8 +141,7 @@ class UpdatePlan:
 
         ``L`` is ``|rows_union| × rank`` and ``R`` is
         ``|cols_union| × rank`` so the scatter block is one GEMM
-        ``L @ R.T`` — the fancy-indexed scatter-add is the slow part,
-        the GEMM is nearly free.
+        ``L @ R.T`` (see :meth:`blocks`).
 
         ``dtype`` selects the panel (and hence GEMM) precision; the
         default is float64, which every executor uses regardless of the
@@ -158,6 +158,18 @@ class UpdatePlan:
         for term, (idx, val) in enumerate(self.right_factors):
             right[np.searchsorted(self.cols_union, idx), term] = val
         return left, right
+
+    def blocks(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The union-support GEMM block and its transpose, both C-ordered.
+
+        ``block = L @ R.T`` lands at ``rows_union × cols_union`` and
+        ``block.T`` at ``cols_union × rows_union``.  The transpose is
+        made contiguous once per plan so every per-shard row slice of
+        it scatters without a strided copy.
+        """
+        left, right = self.panels()
+        block = left @ right.T
+        return block, np.ascontiguousarray(block.T)
 
     def delta_matrix(self, num_nodes: int) -> np.ndarray:
         """Materialize the dense ``ΔS`` (tests / offline analysis only)."""
@@ -513,14 +525,16 @@ def apply_plan_dense(s_matrix: np.ndarray, plan: UpdatePlan) -> np.ndarray:
     """Apply a plan to a plain dense score matrix, in place.
 
     The reference executor: one union-support GEMM followed by two
-    fancy-indexed scatter-adds (block and transpose).  The sharded
-    :class:`~repro.executor.score_store.ScoreStore` applies the same
-    block row-slice by row-slice, so both executors are bit-identical.
+    :func:`~repro.linalg.scatter.scatter_add` calls (block, then its
+    transpose).  The sharded
+    :class:`~repro.executor.score_store.ScoreStore` scatters the same
+    blocks row-slice by row-slice through the same kernel, so both
+    executors are bit-identical.  ``s_matrix`` may be C-ordered,
+    F-ordered or a non-contiguous view; it is updated in place.
     """
     if plan.is_noop:
         return s_matrix
-    left, right = plan.panels()
-    block = left @ right.T
-    s_matrix[np.ix_(plan.rows_union, plan.cols_union)] += block
-    s_matrix[np.ix_(plan.cols_union, plan.rows_union)] += block.T
+    block, block_t = plan.blocks()
+    scatter_add(s_matrix, plan.rows_union, plan.cols_union, block)
+    scatter_add(s_matrix, plan.cols_union, plan.rows_union, block_t)
     return s_matrix

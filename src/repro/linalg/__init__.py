@@ -8,6 +8,8 @@
   the Inc-SVD baseline and the Fig. 2b rank study.
 * :mod:`repro.linalg.qstore` — :class:`TransitionStore`, the persistent
   dual CSR/CSC ``Q`` store behind the engine's zero-rebuild update path.
+* :mod:`repro.linalg.scatter` — :func:`scatter_add`, the flat-index
+  scatter kernel every update-plan apply path writes ``S`` through.
 """
 
 from .kron import unvec, vec, solve_sylvester_kron
