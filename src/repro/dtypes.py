@@ -1,12 +1,11 @@
 """Single source of truth for the score-matrix storage dtype.
 
-Every layer that materializes score values — the in-process
-:class:`~repro.executor.score_store.ScoreStore` shards, the cluster's
-shared-memory segments, and the crash-replay rebuild path — used to
-hardcode its own ``_FLOAT_DTYPE = np.float64``.  This module is the one
-place that decides which float dtypes are legal score *storage* types
-and what the default is, so a precision change is a parameter, not a
-four-file edit.
+Every layer that materializes score values — the engine, the
+:class:`~repro.executor.score_store.ScoreStore` shards, the memory
+accounting, and the precision autotuner — resolves its storage dtype
+here.  This module is the one place that decides which float
+dtypes are legal score *storage* types and what the default is, so a
+precision change is a parameter, not a multi-file edit.
 
 Two invariants the rest of the stack relies on:
 
@@ -16,13 +15,13 @@ Two invariants the rest of the stack relies on:
 * Plan *values* always travel as float64 (the packed wire format
   bit-copies them through int64 words); reduced precision applies to
   shard **storage**, where the scatter-add casts on store.  That keeps
-  the in-process and worker-side apply arithmetic bit-identical at any
-  storage dtype.
+  live apply and WAL replay arithmetic bit-identical at any storage
+  dtype.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 

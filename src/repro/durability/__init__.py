@@ -1,6 +1,6 @@
 """Durable low-rank persistence for the serving stack.
 
-Three pieces, one data directory:
+Four pieces, one data directory:
 
 * :mod:`repro.durability.wal` — the checksummed append-only
   write-ahead log of factored deltas (each acked drain's
@@ -13,6 +13,8 @@ Three pieces, one data directory:
   startup (bit-identical to the last acked drain), per-drain appends
   on the ack path, periodic checkpoints with retention, and
   time-travel materialization of any retained historical version.
+* :mod:`repro.durability.reaper` — reclaims the stale ``wal.lock`` and
+  checkpoint scratch dirs a SIGKILL'd owner left behind.
 
 Enable it with ``SimRankService(graph, durability="/path/to/dir")``
 (or a full :class:`~repro.serving.config.DurabilityConfig`), or

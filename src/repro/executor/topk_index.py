@@ -183,8 +183,7 @@ class _ShardHeap:
         self.dirty = True
 
     # __slots__ classes have no __dict__, so pickling the per-shard
-    # heap state (shipped to/from cluster workers) needs explicit
-    # state methods.
+    # heap state needs explicit state methods.
     def __getstate__(self) -> dict:
         return {
             "entries": self.entries,
@@ -218,14 +217,14 @@ class ShardTopK:
         instead of forcing a shard re-scan.
     shard_range:
         Optional ``(lo, hi)`` *global* shard-id range this index owns.
-        The default (None) tracks every shard of the store; a cluster
-        worker passes its contiguous shard slice so the index maintains
-        exactly the worker's heaps and ignores foreign shards in
+        The default (None) tracks every shard of the store; an owner of
+        a contiguous shard slice passes it so the index maintains
+        exactly those heaps and ignores foreign shards in
         :meth:`on_plan`/:meth:`on_entry`.
     track_changes:
         When True the index records which shards' candidate sets moved
-        (see :meth:`collect_changes`) so a worker can ship per-shard
-        candidate deltas back to the pool after each applied plan.
+        (see :meth:`collect_changes`) so per-shard candidate deltas can
+        be shipped to a mirror after each applied plan.
     """
 
     def __init__(
@@ -287,7 +286,7 @@ class ShardTopK:
         return self._range
 
     def set_shard_range(self, lo: int, hi: int) -> None:
-        """Re-point the owned shard slice (cluster rebalance/growth).
+        """Re-point the owned shard slice (rebalance/growth).
 
         Heap state is discarded — the next query re-scans lazily, which
         keeps results exact without reasoning about partial overlap.
@@ -298,7 +297,7 @@ class ShardTopK:
         self.invalidate_all()
 
     # -------------------------------------------------------------- #
-    # Change tracking (cluster workers ship per-shard deltas)
+    # Change tracking (per-shard candidate deltas)
     # -------------------------------------------------------------- #
 
     def _mark_changed(self, shard_id: int) -> None:
@@ -316,8 +315,8 @@ class ShardTopK:
         ``[(a, b, score), ...]``, or to ``None`` when the shard went
         dirty (its candidates are unknown until the next re-scan).
         Shipping the full (capacity-bounded) list per changed shard is
-        what lets a pool-side mirror stay bit-identical to the worker
-        state without replaying eviction/floor events.
+        what lets a mirror stay bit-identical to this index without
+        replaying eviction/floor events.
         """
         if not self._track_changes:
             return None
@@ -552,9 +551,8 @@ class ShardTopK:
     def rescan_shards(self, shard_ids: Iterable[int]) -> Dict[int, List[ScoredPair]]:
         """Force a re-scan of specific global shards; return their candidates.
 
-        The cluster pool calls this on a worker when its parent-side
-        mirror has dirty shards: the reply re-synchronizes the mirror
-        with the worker's exact candidate sets.
+        A mirror with dirty shards uses the reply to re-synchronize
+        with this index's exact candidate sets.
         """
         self._materialize()
         lo, _hi = self._bounds()
@@ -617,8 +615,8 @@ class ShardTopK:
 
         The store reference is dropped; the unpickled index is inert
         until :meth:`attach_store` re-binds it to a store holding the
-        *same scores* (any store — in-process or a worker's shard view —
-        as long as the owned shards' contents match).
+        *same scores* (any store, as long as the owned shards' contents
+        match).
         """
         state = dict(self.__dict__)
         state["_store"] = None

@@ -187,7 +187,7 @@ class UpdatePlan:
         return total
 
     def __getstate__(self) -> dict:
-        """Picklable state — the wire format shipped to cluster workers.
+        """Picklable state: the factors and support unions.
 
         ``vectors`` is dropped: it is diagnostics-only, may alias pooled
         workspace buffers (mutated by the next planned update), and a
@@ -208,12 +208,10 @@ class UpdatePlan:
 class PackedPlanBatch:
     """A :class:`PlanBatch` flattened into five contiguous arrays.
 
-    This is the wire format of the cluster's batched drain path: every
-    factor support/value vector and union of every plan in a drain is
-    concatenated into a handful of buffers, so the whole batch ships as
-    **one** message whose payload is a single contiguous word block —
-    either staged in a reusable shared-memory segment (zero bytes cross
-    the pipe) or pickled in-band (the crash-replay journal).
+    This is the encoding the write-ahead log frames: every factor
+    support/value vector and union of every plan in a drain is
+    concatenated into a handful of buffers, so the whole drain is one
+    contiguous word block.
 
     Layout (all elements are 8-byte words):
 
@@ -227,7 +225,7 @@ class PackedPlanBatch:
       right_values``.
 
     Unpacking is zero-copy: the rebuilt plans hold *views* into these
-    arrays (or into the shared-memory words they were read from).
+    arrays (or into the words they were read from).
     """
 
     targets: np.ndarray
@@ -348,16 +346,12 @@ class PackedPlanBatch:
 class PlanBatch:
     """An ordered sequence of :class:`UpdatePlan` objects — one drain.
 
-    The batch is the executor contract of the pipelined cluster path:
-    the parent plans a whole drain (each plan against the scores left by
-    the previous one), then ships the batch in a single command, and the
-    workers apply the plans **in order** with exactly the per-plan
-    union-support GEMM + scatter arithmetic of the unbatched path.
-    Application is deliberately *not* fused across plans: folding the
-    batch into one wider GEMM reorders BLAS reductions wherever two
-    plans' supports overlap, which breaks the bit-equivalence gate
-    against the in-process executor.  Batching amortizes the per-message
-    round trip, not the arithmetic.
+    Each plan is planned against the scores left by the previous one,
+    so replay must apply the plans **in order** with exactly the
+    per-plan union-support GEMM + scatter arithmetic.  Application is
+    deliberately *not* fused across plans: folding the batch into one
+    wider GEMM reorders BLAS reductions wherever two plans' supports
+    overlap, which breaks bit-identical recovery.
     """
 
     plans: List[UpdatePlan]

@@ -719,8 +719,8 @@ class TransitionStore:
 
         Returns ``indices``/``indptr`` (CSR), ``col_indices``/
         ``col_indptr`` (CSC), the factored ``row_weight`` vector, and
-        ``num_nodes``/``version`` — everything a remote executor needs
-        to reconstruct ``Q`` without scipy object churn.  All arrays are
+        ``num_nodes``/``version`` — everything a checkpoint needs to
+        reconstruct ``Q`` without scipy object churn.  All arrays are
         fresh copies detached from the slab buffers.
         """
         indices, indptr = self._rows.packed()
@@ -794,8 +794,8 @@ class TransitionSnapshot:
         payload.
 
         The payload is plain ndarrays (picklable, scipy-free), so this is
-        the receiving end of the cross-process shipping contract: a worker
-        or a remote executor reconstructs the exact CSR the store held at
+        the receiving end of the export contract: whoever holds a saved
+        or shipped payload reconstructs the exact CSR the store held at
         export time — ``data`` is re-derived from the factored
         ``row_weight`` exactly as :meth:`TransitionStore.csr_matrix` does,
         so the rebuilt matrix is bit-identical.

@@ -1,10 +1,9 @@
 """The one scatter-add kernel behind every update-plan apply.
 
-Every executor — the dense reference :func:`~repro.incremental.plan.
-apply_plan_dense`, the row-sharded
-:class:`~repro.executor.score_store.ScoreStore` and the process-pool
-shard worker — writes a plan's union-support block into ``S`` through
-:func:`scatter_add`, so the house invariant "bit-identical across
+Both apply paths — the dense reference :func:`~repro.incremental.plan.
+apply_plan_dense` and the row-sharded
+:class:`~repro.executor.score_store.ScoreStore` — write a plan's
+union-support block into ``S`` through :func:`scatter_add`, so the house invariant "bit-identical across
 execution paths" rests on this single implementation.
 
 The kernel turns ``target[rows × cols] += values`` into one add over a

@@ -2,19 +2,16 @@
 
 A trace id is minted at the front door (or accepted verbatim from an
 ``X-Trace-Id`` header) and rides the request through every layer:
-``QueryRequest`` envelopes carry it into admission batching, update
-submissions remember it until the drain that folds them in, and the
-cluster pipe carries it inside ``ApplyPlanCmd``/``ApplyBatchCmd``
-headers so worker-side apply time lands in the same trace (the parent
-materialises those spans from the worker-reported ``Reply.seconds`` —
-worker clocks are never compared against parent clocks).
+``QueryRequest`` envelopes carry it into admission batching, and
+update submissions remember it until the drain that folds them in,
+which records a ``drain.apply`` span under it.
 
 Spans are plain dicts in a bounded ring (``deque(maxlen)``, appends are
 atomic under the GIL), exportable as JSON via :meth:`Tracer.export` or
 the front door's ``GET /traces?trace_id=...``.
 
 Sampling is **deterministic on the trace id** (CRC32, not the salted
-``hash``), so every layer — and every process — independently agrees
+``hash``), so every layer independently agrees
 whether a given trace is recorded.  Explicitly supplied ids (the
 ``X-Trace-Id`` header) are always sampled: if a caller went to the
 trouble of naming the trace, they want to see it.
@@ -105,7 +102,6 @@ class Tracer:
         self._ring: deque = deque(maxlen=self.capacity)
         self._forced: set = set()
         self._forced_lock = threading.Lock()
-        self._active: Optional[str] = None
         self.spans_recorded = 0
         self.spans_dropped = 0
 
@@ -144,16 +140,6 @@ class Tracer:
         with self._forced_lock:
             return trace_id in self._forced
 
-    # The active trace is a one-slot baton for call chains too deep to
-    # thread an argument through (writer drain -> engine -> executor ->
-    # pool).  Drains are serialised by the writer's apply lock, so a
-    # single slot is race-free in practice.
-    def set_active(self, trace_id: Optional[str]) -> None:
-        self._active = trace_id
-
-    def active(self) -> Optional[str]:
-        return self._active
-
     # ------------------------------------------------------------- #
     # Span recording
     # ------------------------------------------------------------- #
@@ -172,7 +158,7 @@ class Tracer:
         start_time: Optional[float] = None,
         **attrs,
     ) -> None:
-        """Record an externally timed span (e.g. worker apply seconds)."""
+        """Record an externally timed span (e.g. a drain's apply seconds)."""
         if not self.sampled(trace_id):
             return
         span = {
@@ -229,12 +215,6 @@ class NullTracer:
 
     def sampled(self, trace_id) -> bool:
         return False
-
-    def set_active(self, trace_id) -> None:
-        pass
-
-    def active(self):
-        return None
 
     def span(self, name, trace_id, **attrs):
         return _NULL_SPAN

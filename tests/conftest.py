@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import gc
-import os
-
 import numpy as np
 import pytest
 
@@ -15,43 +12,6 @@ from repro.graph.generators import (
     linkage_model_digraph,
     preferential_attachment_digraph,
 )
-
-
-def _repro_shm_segments() -> set:
-    """Names of live repro-owned POSIX shm segments (and manifests)."""
-    found = set()
-    try:
-        found.update(
-            name for name in os.listdir("/dev/shm") if name.startswith("repro")
-        )
-    except OSError:
-        pass
-    from repro.cluster.shm import MANIFEST_DIR
-
-    try:
-        found.update(
-            f"manifest:{name}" for name in os.listdir(MANIFEST_DIR)
-        )
-    except OSError:
-        pass
-    return found
-
-
-@pytest.fixture
-def shm_guard():
-    """Zero-leak guard: the test must not leave shm segments behind.
-
-    Every pool allocation is named ``repro...`` and registered in a
-    per-pool manifest, so a before/after diff of ``/dev/shm`` plus the
-    manifest directory catches any segment that outlived its pool —
-    including across worker kills, quarantines, and degraded-mode
-    shutdowns.
-    """
-    before = _repro_shm_segments()
-    yield
-    gc.collect()
-    leaked = _repro_shm_segments() - before
-    assert not leaked, f"leaked shm segments: {sorted(leaked)}"
 
 
 @pytest.fixture

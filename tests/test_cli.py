@@ -1,5 +1,7 @@
 """Tests for repro.cli (the top-level command line)."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -117,17 +119,42 @@ class TestCommands:
         assert "still serves the frozen version: yes" in out
         assert "fresh snapshot v1 top pairs" in out
 
-    def test_serve_process_executor(self, edges_file, updates_file, capsys):
+    def test_bad_update_prints_one_error_line(
+        self, edges_file, tmp_path, capsys
+    ):
+        path = tmp_path / "missing-node.txt"
+        path.write_text("+ 0 999\n")  # node 999 is not in the graph
+        assert main(["serve", edges_file, str(path)]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ")
+        assert "999" in lines[0]
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("executor", "process"), ("workers", 2), ("start_method", "spawn")],
+    )
+    def test_serve_config_with_removed_key_fails(
+        self, edges_file, updates_file, tmp_path, capsys, key, value
+    ):
+        config = tmp_path / "service.json"
+        config.write_text(json.dumps({key: value}))
         assert (
-            main(
-                ["serve", edges_file, updates_file, "-k", "3", "--workers", "2"]
-            )
-            == 0
+            main(["serve", edges_file, updates_file, "--config", str(config)])
+            == 2
         )
-        out = capsys.readouterr().out
-        assert "process executor" in out
-        assert "shard workers" in out
-        assert "still serves the frozen version: yes" in out
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown service config keys")
+        assert repr(key) in err
+
+    def test_removed_pool_flags_are_unknown(self, edges_file, updates_file):
+        for flag in (["--workers", "2"], ["--degraded-policy", "reject"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(
+                    ["serve", edges_file, updates_file, *flag]
+                )
 
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):

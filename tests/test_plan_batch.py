@@ -1,10 +1,10 @@
-"""Batched plan pipelining: wire encoding, batch apply, equivalence.
+"""Plan batches: the packed word encoding the write-ahead log frames.
 
-The contract under test is the one the cluster's batched drain path
-rides on: a ``PlanBatch`` survives the packed word encoding bit-exactly,
-applying a batch equals applying its plans sequentially, and a service
-drain over the batched wire path is bit-identical to both the per-plan
-wire path and the in-process oracle over arbitrary mixed update streams.
+The contract under test is the one WAL replay rides on: a ``PlanBatch``
+survives the packed word encoding bit-exactly, replaying a decoded batch
+through ``ScoreStore.apply_plan`` equals applying its plans live, and
+over arbitrary mixed update streams the decoded drains of a service
+reproduce its live scores and top-k bit-identically.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from repro.graph.updates import UpdateBatch
 from repro.incremental.plan import (
     PackedPlanBatch,
     PlanBatch,
+    UpdatePlan,
     apply_plan_dense,
 )
 from repro.incremental.row_update import (
@@ -47,6 +48,16 @@ def _plans_for_stream(num_nodes, num_updates, seed):
         for ru in row_updates
     ]
     return graph, scores, plans
+
+
+def _decoded(plans):
+    """Round-trip plans through the packed words a WAL frame carries."""
+    packed = PlanBatch(list(plans)).packed()
+    words = np.empty(packed.word_count(), dtype=np.int64)
+    packed.write_words(words)
+    return PackedPlanBatch.from_words(
+        words, packed.count, packed.section_lengths()
+    ).plans()
 
 
 class TestPackedEncoding:
@@ -117,79 +128,75 @@ class TestPackedEncoding:
 
 
 class TestScoreStoreBatchApply:
+    """Replay applies a decoded batch plan by plan, as a live drain does."""
+
     def test_batch_equals_sequential(self):
-        """ScoreStore.apply_batch == per-plan apply_plan, bitwise."""
+        """Decoded batch through ScoreStore == live plans, bitwise."""
         _, scores, plans = _plans_for_stream(50, 25, seed=6)
         sequential = ScoreStore(scores, shard_rows=16)
-        batched = ScoreStore(scores, shard_rows=16)
+        replayed = ScoreStore(scores, shard_rows=16)
+        dense = scores.copy()
         for plan in plans:
             sequential.apply_plan(plan)
-        batched.apply_batch(PlanBatch(plans))
-        assert np.array_equal(sequential.to_array(), batched.to_array())
-        assert batched.version == sequential.version
-        report = batched.apply_metrics.report()
-        assert report["batches"] == 1
-        assert report["batch_size"] == len(
-            [plan for plan in plans if not plan.is_noop]
-        )
+            apply_plan_dense(dense, plan)
+        for plan in _decoded(plans):
+            replayed.apply_plan(plan)
+        assert np.array_equal(sequential.to_array(), replayed.to_array())
+        assert np.array_equal(sequential.to_array(), dense)
+        applied = len([plan for plan in plans if not plan.is_noop])
+        assert replayed.version == sequential.version == applied
+        assert replayed.apply_metrics.report()["plans"] == applied
 
     def test_noop_batch_is_ignored(self):
         store = ScoreStore(np.zeros((8, 8)), shard_rows=4)
-        store.apply_batch(PlanBatch([]))
+        noop = UpdatePlan(
+            target=3,
+            left_factors=[],
+            right_factors=[],
+            rows_union=np.empty(0, dtype=np.int64),
+            cols_union=np.empty(0, dtype=np.int64),
+            affected=None,
+        )
+        for batch in (PlanBatch([]), PlanBatch([noop, noop])):
+            assert batch.is_noop
+            for plan in _decoded(batch.plans):
+                store.apply_plan(plan)
         assert store.version == 0
-        assert store.apply_metrics.batches == 0
+        assert store.apply_metrics.plans == 0
+        assert not store.to_array().any()
 
 
 class TestServiceStreamEquivalence:
-    """Batched wire path == per-plan wire path == in-process oracle."""
+    """Decoded drains replayed == live service drains == dense oracle."""
 
     @pytest.mark.parametrize("seed", [21, 22])
     def test_mixed_streams_bit_identical(self, seed):
         graph = erdos_renyi_digraph(80, 0.05, seed=seed)
         scores = matrix_simrank(graph, CFG)
         updates = random_update_stream(graph, 60, seed=seed + 100)
-        services = {
-            "inproc": SimRankService(
-                graph, CFG, initial_scores=scores, shard_rows=16
-            ),
-            "batched": SimRankService(
-                graph,
-                CFG,
-                initial_scores=scores,
-                shard_rows=16,
-                executor="process",
-                workers=2,
-            ),
-            "per-plan": SimRankService(
-                graph,
-                CFG,
-                initial_scores=scores,
-                shard_rows=16,
-                executor="process",
-                workers=2,
-                plan_batching=False,
-            ),
-        }
+        replayed = ScoreStore(scores, shard_rows=16)
+        dense = scores.copy()
+        service = SimRankService(
+            graph, CFG, initial_scores=scores, shard_rows=16
+        )
         try:
             chunk = 12
+            drains = 0
             for begin in range(0, len(updates), chunk):
-                part = updates[begin : begin + chunk]
-                for service in services.values():
-                    service.submit_many(part)
-                    service.drain()
-            oracle = services["inproc"].engine.similarities()
-            oracle_top = top_k_pairs(oracle, 10)
-            for name in ("batched", "per-plan"):
-                assert np.array_equal(
-                    services[name].engine.similarities(), oracle
-                ), name
-                assert services[name].top_k(10) == oracle_top, name
-            # Only the batched service shipped batched commands.
-            batched_report = services["batched"].metrics_report()["executor"]
-            assert batched_report["plan_batches"] > 0
-            assert batched_report["batch_size"] > 1.0
-            perplan_report = services["per-plan"].metrics_report()["executor"]
-            assert perplan_report["plan_batches"] == 0
+                service.submit_many(updates[begin : begin + chunk])
+                service.drain()
+                _row_updates, plans = service.engine.take_last_drain()
+                drains += 1
+                for plan in plans:
+                    apply_plan_dense(dense, plan)
+                for plan in _decoded(plans):
+                    replayed.apply_plan(plan)
+            live = service.engine.similarities()
+            assert drains > 1
+            assert np.array_equal(replayed.to_array(), live)
+            assert np.array_equal(dense, live)
+            assert service.top_k(10) == top_k_pairs(dense, 10)
+            report = service.metrics_report()["executor"]
+            assert report["plans"] == replayed.apply_metrics.plans > 0
         finally:
-            for service in services.values():
-                service.close()
+            service.close()

@@ -7,7 +7,6 @@ from repro.exceptions import DimensionError
 from repro.executor import ScoreStore
 from repro.graph.generators import erdos_renyi_digraph
 from repro.incremental.plan import (
-    PlanBatch,
     UpdatePlan,
     apply_plan_dense,
     plan_unit_update,
@@ -256,9 +255,8 @@ class TestScatterKernel:
             _synthetic_plan([1, 9, 20, 33], [4, 9, 17, 38], seed=seed)
             for seed in range(4)
         ]
-        for plan in plans[:2]:
+        for plan in plans:
             store.apply_plan(plan)
-        store.apply_batch(PlanBatch(plans[2:]))
         hist = telemetry.registry.histogram("repro_executor_apply_plan_seconds")
         assert hist.count == store.apply_metrics.plans == 4
         # The histogram times panels + GEMM + scatter; the gauges only

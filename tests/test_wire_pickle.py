@@ -1,10 +1,11 @@
-"""Pickle round trips for everything that crosses the process boundary.
+"""Pickle round trips for the library's plan, transition and top-k state.
 
-The cluster subsystem ships :class:`UpdatePlan` objects, packed
-transition payloads, frozen transition snapshots, and per-shard top-k
-heap state between processes.  These property tests pin the wire
-contract: a ``pickle.loads(pickle.dumps(x))`` round trip must preserve
-apply semantics and ranking results exactly.
+:class:`UpdatePlan` objects, packed transition payloads, frozen
+transition snapshots, and per-shard top-k heap state define explicit
+pickle hooks, so they can be persisted or handed to another process.
+These property tests pin that contract: a
+``pickle.loads(pickle.dumps(x))`` round trip must preserve apply
+semantics and ranking results exactly.
 """
 
 from __future__ import annotations
