@@ -460,7 +460,7 @@ async def _bench(args: argparse.Namespace, run: _Run) -> dict:
     else:
         from ..graph.digraph import DynamicDiGraph
         from ..frontdoor import FrontDoor
-        from ..serving import FrontDoorConfig, ServiceConfig, SimRankService
+        from ..serving import ServiceConfig, SimRankService
 
         rng = np.random.default_rng(args.seed)
         graph = DynamicDiGraph(num_nodes=args.nodes)
@@ -477,9 +477,6 @@ async def _bench(args: argparse.Namespace, run: _Run) -> dict:
             config=ServiceConfig(
                 writer="background",
                 drain_interval=0.002,
-                frontdoor=FrontDoorConfig(
-                    admission_window=args.admission_window
-                ),
             ),
         )
         door = await FrontDoor(service).start()
@@ -498,7 +495,6 @@ async def _bench(args: argparse.Namespace, run: _Run) -> dict:
         **mode,
         "clients": args.clients,
         "duration_seconds": args.duration,
-        "admission_window_seconds": args.admission_window,
         "requests": run.requests,
         "throughput_rps": run.requests / args.duration,
         "latency": {
@@ -543,7 +539,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--degree", type=int, default=5)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--k", type=int, default=10)
-    parser.add_argument("--admission-window", type=float, default=0.002)
     parser.add_argument(
         "--update-interval",
         type=float,

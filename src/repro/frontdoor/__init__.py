@@ -5,10 +5,11 @@ same API on a socket, with three pieces of machinery the wire makes
 worthwhile:
 
 * :mod:`repro.frontdoor.admission` — **batched query admission**:
-  concurrent ``similarity``/``single_source`` queries arriving inside
-  one admission window execute as a single snapshot-pinned vectorized
-  pass (stacked walk matrices, per-shard score gathers), bit-identical
-  per query to unbatched execution.
+  a ``similarity``/``single_source`` query dispatches as soon as no
+  batch is in flight, and the queries that queue behind an in-flight
+  batch execute together as one snapshot-pinned vectorized pass
+  (stacked walk matrices, per-shard score gathers), bit-identical per
+  query to unbatched execution.
 * :mod:`repro.frontdoor.sessions` — **pinned-snapshot sessions**: a
   client pins one :class:`~repro.serving.snapshot.SnapshotView` under
   a TTL'd id and reads a bit-stable version across any number of

@@ -1,12 +1,14 @@
 """Batched query admission: one snapshot, one BLAS pass, many answers.
 
 Under concurrent load the front door does not execute similarity and
-single-source queries one at a time.  The first query to arrive opens
-an **admission window** (:class:`FrontDoorConfig.admission_window`
-seconds); every compatible query that arrives inside the window joins
-the same batch.  When the window closes (or the batch hits its size
-cap) the whole batch pins **one** snapshot view and executes as one
-vectorized pass:
+single-source queries one at a time.  Admission is **work-conserving**:
+a query that arrives while no batch is in flight dispatches on the next
+event-loop turn (every query parsed in the same turn rides along), and
+queries that arrive while a batch executes queue up and dispatch
+together the moment it settles.  Batches form exactly when there is
+load to batch, with no timer to tune; a batch that reaches the size cap
+dispatches at once.  Each batch pins **one** snapshot view and executes
+as one vectorized pass:
 
 * ``similarity`` — the requested ``(a, b)`` pairs are gathered from
   the frozen score shards with one fancy-indexing read per touched
@@ -25,15 +27,15 @@ checked by the benchmark, so batching is a pure latency/throughput
 optimization — answers never change by admission accident.
 
 Demultiplexing tags each :class:`QueryResult` with ``batched=True``
-and the batch size, so the wire exposes how much coalescing the window
-achieved (the benchmark's tuning axis).
+and the batch size, so the wire exposes how much coalescing the load
+produced.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Set
 
 import numpy as np
 
@@ -156,21 +158,20 @@ def execute_batch(view, requests: Sequence[QueryRequest]) -> List[QueryResult]:
 
 
 class AdmissionBatcher:
-    """The async admission window in front of the batched executors.
+    """Work-conserving admission in front of the batched executors.
 
-    ``await run(request)`` parks the caller on a future; the first
-    arrival schedules a flush ``window`` seconds out, a full batch
-    flushes immediately, and the flush executes the whole batch against
+    ``await run(request)`` parks the caller on a future.  With no batch
+    in flight the first arrival schedules a flush for the next loop
+    turn; arrivals during an in-flight batch wait for it to settle
+    (successfully or not) and then flush as one batch; a full batch
+    flushes immediately.  The flush executes the whole batch against
     one freshly pinned snapshot **in the executor thread pool** so the
-    event loop keeps admitting during the BLAS pass.  With
-    ``window == 0`` batching is disabled and every query runs alone
-    (still off-loop).
+    event loop keeps admitting during the BLAS pass.
     """
 
     def __init__(
         self,
         pin_view,
-        window: float,
         max_batch: int,
         run_blocking,
         telemetry=None,
@@ -178,11 +179,14 @@ class AdmissionBatcher:
         if telemetry is None:
             telemetry = NULL_TELEMETRY
         self._pin_view = pin_view
-        self.window = float(window)
         self.max_batch = int(max_batch)
         self._run_blocking = run_blocking
         self._pending: List[tuple] = []
         self._flush_handle = None
+        #: Batch tasks executing now.  Holding them keeps the loop from
+        #: dropping them, and an empty set is what lets a new arrival
+        #: dispatch on the next turn instead of queueing.
+        self._in_flight: Set[asyncio.Task] = set()
         self.batches = 0
         self.batched_queries = 0
         self.max_batch_seen = 0
@@ -192,7 +196,6 @@ class AdmissionBatcher:
             help="Batched admission execute time (pin + vectorized pass)",
         )
         gauges = GaugeGroup(telemetry.registry, "repro_admission")
-        gauges.expose("window_seconds", lambda: self.window)
         gauges.expose("max_batch", lambda: self.max_batch)
         gauges.expose("batches", lambda: self.batches)
         gauges.expose("batched_queries", lambda: self.batched_queries)
@@ -207,29 +210,33 @@ class AdmissionBatcher:
 
     async def run(self, request: QueryRequest) -> QueryResult:
         loop = asyncio.get_running_loop()
-        if self.window <= 0 or self.max_batch <= 1:
-            results = await self._execute([request])
-            return self._unwrap(results[0])
         future = loop.create_future()
         self._pending.append((request, future, loop.time()))
         if len(self._pending) >= self.max_batch:
-            self._cancel_timer()
             self._flush()
-        elif self._flush_handle is None:
-            self._flush_handle = loop.call_later(self.window, self._flush)
+        elif not self._in_flight and self._flush_handle is None:
+            self._flush_handle = loop.call_soon(self._flush)
         return self._unwrap(await future)
 
-    def _cancel_timer(self) -> None:
+    def _cancel_flush(self) -> None:
         if self._flush_handle is not None:
             self._flush_handle.cancel()
             self._flush_handle = None
 
     def _flush(self) -> None:
-        self._flush_handle = None
+        self._cancel_flush()
         if not self._pending:
             return
         batch, self._pending = self._pending, []
-        asyncio.get_running_loop().create_task(self._settle(batch))
+        task = asyncio.get_running_loop().create_task(self._settle(batch))
+        self._in_flight.add(task)
+        task.add_done_callback(self._settled)
+
+    def _settled(self, task: asyncio.Task) -> None:
+        # Runs however the batch ended, so a failed pin or execute
+        # never strands the queries queued behind it.
+        self._in_flight.discard(task)
+        self._flush()
 
     async def _settle(self, batch: List[tuple]) -> None:
         requests = [request for request, _, _ in batch]
@@ -301,8 +308,12 @@ class AdmissionBatcher:
         return result
 
     def drain(self) -> None:
-        """Fail every parked query (service shutting down)."""
-        self._cancel_timer()
+        """Fail every parked query (service shutting down).
+
+        A batch already in flight still completes and answers its own
+        queries; nothing queued behind it runs.
+        """
+        self._cancel_flush()
         pending, self._pending = self._pending, []
         for _, future, _ in pending:
             if not future.done():

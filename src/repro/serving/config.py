@@ -22,7 +22,7 @@ is the single typed source of truth for all of it:
   one.
 
 :class:`FrontDoorConfig` nests the network-layer knobs (bind address,
-admission window, session TTL) so one file configures the whole stack,
+admission batch cap, session TTL) so one file configures the whole stack,
 service plus front door.
 """
 
@@ -49,10 +49,6 @@ WRITER_MODES = ("sync", "background")
 #: accuracy), or ``auto`` (consume — or search for — an accuracy-gated
 #: :class:`~repro.tuning.precision.PrecisionPlan`).
 PRECISION_MODES = ("float64", "float32", "auto")
-
-#: Default admission window: how long the front door holds the first
-#: query of a batch open for concurrent arrivals to join (seconds).
-DEFAULT_ADMISSION_WINDOW = 0.002
 
 #: Default idle TTL of a pinned-snapshot session (seconds).
 DEFAULT_SESSION_TTL = 30.0
@@ -146,15 +142,12 @@ class FrontDoorConfig:
     host, port:
         Bind address.  Port 0 picks an ephemeral port (the bound port
         is reported once the server starts).
-    admission_window:
-        Seconds the admission batcher holds the first queued query so
-        concurrent arrivals can join the same snapshot-pinned batched
-        execution.  0 disables batching (every query executes alone).
-        Larger windows raise batch sizes (fewer BLAS calls under load)
-        at the cost of adding up to one window to p99.
     admission_max_batch:
-        Hard cap on queries per admission batch; a full batch flushes
-        immediately instead of waiting out the window.
+        Hard cap on queries per admission batch.  Admission is
+        work-conserving (a query dispatches at once when no batch is in
+        flight; queries queued behind one dispatch together when it
+        settles), so this bounds the fan-in under load; a full batch
+        dispatches immediately.  1 executes every query alone.
     session_ttl:
         Default idle seconds before a pinned-snapshot session is
         released (each request on the session refreshes the clock).
@@ -167,7 +160,6 @@ class FrontDoorConfig:
 
     host: str = "127.0.0.1"
     port: int = 0
-    admission_window: float = DEFAULT_ADMISSION_WINDOW
     admission_max_batch: int = 256
     session_ttl: float = DEFAULT_SESSION_TTL
     max_sessions: int = 1024
@@ -181,10 +173,6 @@ class FrontDoorConfig:
         _require(
             0 <= int(self.port) <= 65535,
             f"frontdoor port must be in [0, 65535]: {self.port!r}",
-        )
-        _require(
-            self.admission_window >= 0,
-            f"admission_window must be >= 0: {self.admission_window!r}",
         )
         _require(
             int(self.admission_max_batch) >= 1,

@@ -38,7 +38,7 @@ from repro.exceptions import (
     SessionNotFoundError,
 )
 from repro.frontdoor import FrontDoor, HTTPClient, ws_connect, ws_recv_json
-from repro.frontdoor.admission import execute_batch
+from repro.frontdoor.admission import AdmissionBatcher, execute_batch
 from repro.frontdoor.protocol import websocket_accept
 from repro.frontdoor.sessions import SessionManager
 from repro.frontdoor.subscriptions import (
@@ -130,7 +130,7 @@ class TestServiceConfig:
         config = ServiceConfig(
             damping=0.7,
             writer="background",
-            frontdoor=FrontDoorConfig(admission_window=0.01),
+            frontdoor=FrontDoorConfig(admission_max_batch=16),
         )
         path = tmp_path / "service.json"
         config.save(path)
@@ -148,7 +148,7 @@ class TestServiceConfig:
         with pytest.raises(ConfigError):
             ServiceConfig(writer="turbo")
         with pytest.raises(ConfigError):
-            FrontDoorConfig(admission_window=-1.0)
+            FrontDoorConfig(admission_max_batch=0)
         with pytest.raises(ConfigError):
             FrontDoorConfig(subscription_max_k=0)
 
@@ -176,6 +176,21 @@ class TestServiceConfig:
         graph = erdos_renyi_digraph(8, 0.2, seed=3)
         with pytest.raises(TypeError):
             SimRankService(graph, **{key: value})
+
+    def test_removed_frontdoor_key_fails_loudly(self, tmp_path):
+        # Admission is work-conserving; the timer knob it replaced must
+        # not be accepted (and silently ignored) from an old config.
+        key = "admission_window"
+        payload = ServiceConfig(frontdoor=FrontDoorConfig()).to_dict()
+        payload["frontdoor"][key] = 0.002
+        with pytest.raises(ConfigError, match=repr(key)):
+            ServiceConfig.from_dict(payload)
+        path = tmp_path / "service.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ConfigError, match=repr(key)):
+            ServiceConfig.load(str(path))
+        with pytest.raises(TypeError):
+            FrontDoorConfig(**{key: 0.002})
 
 
 # ------------------------------------------------------------------ #
@@ -238,7 +253,7 @@ class TestAdmission:
             service.close()
 
     def test_wire_batching_is_bit_identical(self, workload):
-        """Concurrent clients through the admission window get exactly
+        """Concurrent clients through batched admission get exactly
         the solo answers — while a background writer drains."""
         service = _service(workload, writer="background")
         graph, _, updates = workload
@@ -295,6 +310,179 @@ class TestAdmission:
             assert asyncio.run(_with_door(service, body))
         finally:
             service.close()
+
+
+class _GatedRunner:
+    """``run_blocking`` stand-in for the batcher: each call parks on its
+    own gate until the test opens it, then runs the work inline — no
+    threads, no sockets, no timers."""
+
+    def __init__(self):
+        self.gates = []
+
+    async def __call__(self, fn):
+        gate = asyncio.Event()
+        self.gates.append(gate)
+        await gate.wait()
+        return fn()
+
+
+async def _until(predicate, turns=10):
+    """Yield to the loop until ``predicate()`` holds (bounded turns)."""
+    for _ in range(turns):
+        if predicate():
+            return
+        await asyncio.sleep(0)
+    raise AssertionError(f"not reached within {turns} loop turns")
+
+
+async def _idle(turns=10):
+    """Let the loop run ``turns`` turns with nothing else to do."""
+    for _ in range(turns):
+        await asyncio.sleep(0)
+
+
+def _pair(i, n):
+    return QueryRequest(kind="similarity", node_a=i % n, node_b=(3 * i) % n)
+
+
+class TestAdmissionBatcher:
+    """Dispatch policy of the work-conserving batcher, driven turn by
+    turn on a bare event loop."""
+
+    def _run(self, workload, body, max_batch=256, failing_pins=0):
+        service = _service(workload)
+        try:
+            view = service.snapshot()
+            runner = _GatedRunner()
+            pins = []
+
+            def pin_view():
+                pins.append(view)
+                if len(pins) <= failing_pins:
+                    raise RuntimeError("pin failed")
+                return view
+
+            batcher = AdmissionBatcher(
+                pin_view=pin_view,
+                max_batch=max_batch,
+                run_blocking=runner,
+            )
+            # A dispatch bug parks a query forever: bound it.
+            asyncio.run(
+                asyncio.wait_for(body(batcher, runner, view), timeout=30)
+            )
+        finally:
+            service.close()
+
+    def test_lone_query_dispatches_without_timer(self, workload):
+        async def body(batcher, runner, view):
+            task = asyncio.create_task(batcher.run(_pair(1, view.num_nodes)))
+            # A few loop turns, far less than any timer: it is running.
+            await _until(lambda: len(runner.gates) == 1, turns=5)
+            runner.gates[0].set()
+            result = await task
+            assert result.value == view.similarity(1, 3)
+            assert result.batch_size == 1
+
+        self._run(workload, body)
+
+    def test_queries_behind_in_flight_batch_settle_as_one(self, workload):
+        async def body(batcher, runner, view):
+            n = view.num_nodes
+            first = asyncio.create_task(batcher.run(_pair(0, n)))
+            await _until(lambda: len(runner.gates) == 1)
+            queued = [
+                asyncio.create_task(batcher.run(_pair(i, n)))
+                for i in range(1, 6)
+            ]
+            queued.append(
+                asyncio.create_task(
+                    batcher.run(QueryRequest(kind="single_source", node=4))
+                )
+            )
+            await _idle()
+            assert len(runner.gates) == 1  # queued, not dispatched
+            runner.gates[0].set()
+            assert (await first).batch_size == 1
+            await _until(lambda: len(runner.gates) == 2)
+            runner.gates[1].set()
+            results = await asyncio.gather(*queued)
+            assert [r.batch_size for r in results] == [6] * 6
+            for i, result in enumerate(results[:-1], start=1):
+                expected = _pair(i, n)
+                assert result.value == view.similarity(
+                    expected.node_a, expected.node_b
+                )
+            assert np.array_equal(results[-1].value, view.single_source(4))
+            assert len(runner.gates) == 2
+            assert batcher.report()["batches"] == 2
+            assert batcher.report()["max_batch_seen"] == 6
+
+        self._run(workload, body)
+
+    def test_max_batch_still_splits(self, workload):
+        async def body(batcher, runner, view):
+            n = view.num_nodes
+            tasks = [
+                asyncio.create_task(batcher.run(_pair(i, n)))
+                for i in range(7)
+            ]
+            # Both full batches dispatch at once, in flight together;
+            # the seventh query queues behind them.
+            await _until(lambda: len(runner.gates) == 2)
+            await _idle()
+            assert len(runner.gates) == 2
+            runner.gates[0].set()
+            await _until(lambda: len(runner.gates) == 3)
+            for gate in runner.gates:
+                gate.set()
+            results = await asyncio.gather(*tasks)
+            assert [r.batch_size for r in results] == [3] * 6 + [1]
+            assert batcher.report()["max_batch_seen"] == 3
+
+        self._run(workload, body, max_batch=3)
+
+    def test_failed_batch_fails_alone_and_frees_slot(self, workload):
+        async def body(batcher, runner, view):
+            n = view.num_nodes
+            first = asyncio.create_task(batcher.run(_pair(0, n)))
+            await _until(lambda: len(runner.gates) == 1)
+            queued = [
+                asyncio.create_task(batcher.run(_pair(i, n)))
+                for i in range(1, 4)
+            ]
+            runner.gates[0].set()
+            with pytest.raises(RuntimeError, match="pin failed"):
+                await first
+            # The failure released the in-flight slot: the queued batch
+            # dispatches instead of stalling.
+            await _until(lambda: len(runner.gates) == 2)
+            runner.gates[1].set()
+            results = await asyncio.gather(*queued)
+            assert [r.batch_size for r in results] == [3] * 3
+            assert results[0].value == view.similarity(1, 3)
+
+        self._run(workload, body, failing_pins=1)
+
+    def test_drain_with_batch_in_flight(self, workload):
+        async def body(batcher, runner, view):
+            n = view.num_nodes
+            first = asyncio.create_task(batcher.run(_pair(0, n)))
+            await _until(lambda: len(runner.gates) == 1)
+            queued = asyncio.create_task(batcher.run(_pair(1, n)))
+            await asyncio.sleep(0)
+            batcher.drain()
+            with pytest.raises(asyncio.CancelledError):
+                await queued
+            # The in-flight batch still answers; nothing runs after it.
+            runner.gates[0].set()
+            assert (await first).value == view.similarity(0, 0)
+            await _idle()
+            assert len(runner.gates) == 1
+            assert batcher.report()["batches"] == 1
+
+        self._run(workload, body)
 
 
 # ------------------------------------------------------------------ #
@@ -800,7 +988,6 @@ class TestTelemetryWire:
                 assert status == 200
                 frontdoor = report["frontdoor"]
                 assert set(frontdoor["admission"]) == {
-                    "window_seconds",
                     "max_batch",
                     "batches",
                     "batched_queries",

@@ -1,11 +1,10 @@
-"""Pickle round trips for the library's plan, transition and top-k state.
+"""Pickle round trips for the library's plan and transition state.
 
-:class:`UpdatePlan` objects, packed transition payloads, frozen
-transition snapshots, and per-shard top-k heap state define explicit
-pickle hooks, so they can be persisted or handed to another process.
+:class:`UpdatePlan` objects, packed transition payloads and frozen
+transition snapshots can be persisted or handed to another process.
 These property tests pin that contract: a
 ``pickle.loads(pickle.dumps(x))`` round trip must preserve apply
-semantics and ranking results exactly.
+semantics and ``Q`` exactly.
 """
 
 from __future__ import annotations
@@ -16,13 +15,12 @@ import numpy as np
 import pytest
 
 from repro import SimRankConfig
+from repro.durability import graph_from_packed
 from repro.executor.score_store import ScoreStore
-from repro.executor.topk_index import ShardTopK
 from repro.graph.generators import erdos_renyi_digraph
 from repro.graph.updates import EdgeUpdate, UpdateBatch
 from repro.incremental.plan import apply_plan_dense, plan_unit_update
-from repro.linalg.qstore import TransitionSnapshot, TransitionStore
-from repro.metrics.topk import top_k_pairs
+from repro.linalg.qstore import TransitionStore
 from repro.simrank.matrix import matrix_simrank
 
 from _streams import random_update_stream
@@ -82,19 +80,24 @@ class TestUpdatePlanPickle:
         )
 
 
+def _rebuild(payload):
+    """Restore ``Q`` from a packed payload the way checkpoint recovery does."""
+    return TransitionStore.from_graph(graph_from_packed(payload))
+
+
 class TestTransitionPayloadPickle:
     def test_export_packed_roundtrip_rebuilds_q(self):
         graph = erdos_renyi_digraph(80, 0.05, seed=2)
         store = TransitionStore.from_graph(graph)
-        payload = _roundtrip(store.export_packed())
-        rebuilt = TransitionSnapshot.from_packed(payload)
-        assert rebuilt.version == store.version
+        rebuilt = _rebuild(_roundtrip(store.export_packed()))
         dense = store.csr_matrix().toarray()
         assert np.array_equal(rebuilt.csr_matrix().toarray(), dense)
         x = np.random.default_rng(0).random(graph.num_nodes)
-        assert np.array_equal(rebuilt.matvec(x), store.csr_matrix() @ x)
         assert np.array_equal(
-            rebuilt.rmatvec(x), store.csr_matrix().T @ x
+            rebuilt.csr_matrix() @ x, store.csr_matrix() @ x
+        )
+        assert np.array_equal(
+            rebuilt.csr_matrix().T @ x, store.csr_matrix().T @ x
         )
 
     def test_export_packed_roundtrip_after_surgery(self):
@@ -104,9 +107,7 @@ class TestTransitionPayloadPickle:
         for update in random_update_stream(graph, 12, seed=5):
             update.apply_to(live)
             store.apply_update(update)
-        rebuilt = TransitionSnapshot.from_packed(
-            _roundtrip(store.export_packed())
-        )
+        rebuilt = _rebuild(_roundtrip(store.export_packed()))
         assert np.array_equal(
             rebuilt.csr_matrix().toarray(), store.csr_matrix().toarray()
         )
@@ -120,43 +121,6 @@ class TestTransitionPayloadPickle:
         assert np.array_equal(
             clone.csr_matrix().toarray(), snap.csr_matrix().toarray()
         )
-
-
-class TestShardTopKPickle:
-    @pytest.mark.parametrize("seed", [0, 7])
-    def test_heap_state_roundtrip_preserves_ranking(self, seed):
-        graph = erdos_renyi_digraph(70, 0.05, seed=seed)
-        scores = matrix_simrank(graph, CFG)
-        store = ScoreStore(scores, shard_rows=16)
-        index = ShardTopK(store, k=8)
-        assert index.top_k(8) == top_k_pairs(store.to_array(), 8)
-
-        # Round-trip the warmed heap state and attach it to an
-        # equivalent store: rankings must be identical without rescans.
-        clone = _roundtrip(index)
-        twin = ScoreStore(scores, shard_rows=16)
-        clone.attach_store(twin)
-        rescans_before = clone.stats.shard_rescans
-        assert clone.top_k(8) == index.top_k(8)
-        assert clone.stats.shard_rescans == rescans_before
-
-        # The unpickled index keeps maintaining correctly under plans.
-        for plan, _ in _plans_for(graph, 5, seed=seed + 9):
-            store.apply_plan(plan)
-            twin.apply_plan(plan)
-            assert clone.top_k(8) == index.top_k(8)
-            assert clone.top_k(8) == top_k_pairs(twin.to_array(), 8)
-
-    def test_shard_range_state_roundtrip(self):
-        graph = erdos_renyi_digraph(60, 0.05, seed=12)
-        scores = matrix_simrank(graph, CFG)
-        store = ScoreStore(scores, shard_rows=16)
-        index = ShardTopK(store, k=5, shard_range=(1, 3), track_changes=True)
-        index.top_k(5)
-        clone = _roundtrip(index)
-        clone.attach_store(ScoreStore(scores, shard_rows=16))
-        assert clone.shard_range == (1, 3)
-        assert clone.top_k(5) == index.top_k(5)
 
 
 class TestUpdateStreamPickle:
