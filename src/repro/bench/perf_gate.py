@@ -31,10 +31,10 @@ smaller graph and a softer bar to stay noise-tolerant).
 storage; the bit-drift assertion against the seed is then replaced by
 accuracy gates (NDCG@100 / top-100 overlap vs the seed's float64
 scores, ``--min-ndcg`` / ``--min-topk-overlap``).  ``--precision-curve``
-additionally records a three-leg precision comparison — float64
-reference, uniform float32, and the autotuner's accepted plan — with
-per-leg latency, score-store bytes, scatter bytes-per-update, and
-accuracy, gated on accuracy plus a float32 win condition (≥
+additionally records a two-leg precision comparison — float64
+reference and float32 — with per-leg latency, score-store bytes,
+scatter bytes-per-update, and accuracy, gated on the float32 leg's
+accuracy plus a float32 win condition (≥
 ``--min-f32-throughput``x per-update throughput OR ≥
 ``--min-f32-memory-saving`` score-store memory saved).
 
@@ -211,8 +211,8 @@ def run_perf_gate(
     return report
 
 
-def _precision_leg(graph, config, initial, updates, score_dtype, shard_dtypes):
-    """One live-pipeline run at a precision configuration."""
+def _precision_leg(graph, config, initial, updates, score_dtype):
+    """One live-pipeline run at a score-store dtype."""
     engine = DynamicSimRank(
         graph,
         config,
@@ -220,8 +220,6 @@ def _precision_leg(graph, config, initial, updates, score_dtype, shard_dtypes):
         initial_scores=initial,
         score_dtype=score_dtype,
     )
-    for index, name in sorted((shard_dtypes or {}).items()):
-        engine.score_store.set_shard_dtype(index, name)
     engine.apply(UpdateBatch(updates))
     seconds = [stats.seconds for stats in engine.history]
     itemsize = engine.score_store.dtype.itemsize
@@ -238,7 +236,6 @@ def _precision_leg(graph, config, initial, updates, score_dtype, shard_dtypes):
         "updates_per_second": len(updates) / total if total else 0.0,
         "score_store_bytes": engine.score_store.nbytes(),
         "score_dtype": engine.score_store.dtype.name,
-        "shard_dtypes": engine.score_store.shard_dtypes(),
         # Score bytes scattered per update (affected-area entries at the
         # store's itemsize) — the bytes-per-update companion to
         # ms-per-update.
@@ -261,35 +258,19 @@ def run_precision_curve(
     min_f32_throughput: float = 1.25,
     min_f32_memory_saving: float = 0.40,
 ) -> Dict:
-    """Three-leg precision comparison: float64 ref, float32, autotuned.
+    """Two-leg precision comparison: float64 reference vs float32.
 
-    All legs replay the identical update stream from identical initial
-    state.  Accuracy of the reduced-precision legs is measured against
-    the float64 reference leg's final matrix (NDCG@100 + top-100
-    overlap), and the gate section records whether the float32 leg
-    clears the accuracy floors *and* the win condition (throughput OR
-    memory saving).
+    Both legs replay the identical update stream from identical initial
+    state.  Accuracy of the float32 leg is measured against the float64
+    reference leg's final matrix (NDCG@100 + top-100 overlap), and the
+    gate section records whether the float32 leg clears the accuracy
+    floors *and* the win condition (throughput OR memory saving).
     """
-    from ..tuning.precision import PrecisionAutotuner, PrecisionGates
-
     graph, config, initial, updates = _workload(
         num_nodes, num_updates, references, recency, seed
     )
-    reference = _precision_leg(graph, config, initial, updates, None, None)
-    float32 = _precision_leg(graph, config, initial, updates, "float32", None)
-    tuner = PrecisionAutotuner(
-        graph,
-        config=config,
-        initial_scores=initial,
-        gates=PrecisionGates(
-            min_ndcg=min_ndcg, min_topk_overlap=min_topk_overlap
-        ),
-        seed=seed,
-    )
-    plan = tuner.run()
-    autotuned = _precision_leg(
-        graph, config, initial, updates, plan.store_dtype, plan.shard_dtypes
-    )
+    reference = _precision_leg(graph, config, initial, updates, "float64")
+    float32 = _precision_leg(graph, config, initial, updates, "float32")
 
     def _leg_report(leg, accuracy: bool) -> Dict:
         entry = {
@@ -299,7 +280,6 @@ def run_precision_curve(
                 "updates_per_second",
                 "score_store_bytes",
                 "score_dtype",
-                "shard_dtypes",
                 "scatter_bytes_per_update",
             )
         }
@@ -315,9 +295,7 @@ def run_precision_curve(
     curve = {
         "float64_reference": _leg_report(reference, accuracy=False),
         "float32": _leg_report(float32, accuracy=True),
-        "autotuned": _leg_report(autotuned, accuracy=True),
     }
-    curve["autotuned"]["plan"] = plan.to_dict()
 
     throughput_ratio = (
         curve["float32"]["updates_per_second"]
@@ -332,8 +310,6 @@ def run_precision_curve(
     accuracy_ok = (
         curve["float32"]["ndcg_at_100"] >= min_ndcg
         and curve["float32"]["topk100_overlap"] >= min_topk_overlap
-        and curve["autotuned"]["ndcg_at_100"] >= min_ndcg
-        and curve["autotuned"]["topk100_overlap"] >= min_topk_overlap
     )
     win_ok = (
         throughput_ratio >= min_f32_throughput
@@ -420,7 +396,7 @@ def run_durability_overhead(
     import shutil
     import tempfile
 
-    from ..serving import DurabilityConfig, SimRankService
+    from ..serving import DurabilityConfig, ServiceConfig, SimRankService
 
     graph, config, initial, updates = _workload(
         num_nodes, num_updates, references, recency, seed
@@ -429,9 +405,12 @@ def run_durability_overhead(
     def _drain_leg(durability):
         service = SimRankService(
             graph.copy(),
-            config,
+            ServiceConfig(
+                damping=config.damping,
+                iterations=config.iterations,
+                durability=durability,
+            ),
             initial_scores=initial.copy(),
-            durability=durability,
         )
         seconds: List[float] = []
         try:
@@ -552,9 +531,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--precision-curve",
         action="store_true",
-        help="also record the float64/float32/autotuned precision "
-        "comparison (and gate the float32 leg on accuracy + win "
-        "condition)",
+        help="also record the float64/float32 precision comparison "
+        "(and gate the float32 leg on accuracy + win condition)",
     )
     parser.add_argument(
         "--min-ndcg",

@@ -43,7 +43,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..serving import SimRankService
+from ..serving import ServiceConfig, SimRankService
 from .perf_gate import _workload
 
 
@@ -91,10 +91,13 @@ def run_serving_bench(
         )
     service = SimRankService(
         graph,
-        config,
+        ServiceConfig(
+            damping=config.damping,
+            iterations=config.iterations,
+            shard_rows=shard_rows,
+            precision=precision,
+        ),
         initial_scores=initial,
-        shard_rows=shard_rows,
-        precision=precision,
     )
 
     rng = np.random.default_rng(seed)
@@ -235,14 +238,17 @@ def run_background_bench(
         )
     service = SimRankService(
         graph,
-        config,
+        ServiceConfig(
+            damping=config.damping,
+            iterations=config.iterations,
+            shard_rows=shard_rows,
+            writer="background",
+            drain_interval=drain_interval,
+            max_pending=max_pending,
+            backpressure=policy,
+            precision=precision,
+        ),
         initial_scores=initial,
-        shard_rows=shard_rows,
-        writer="background",
-        drain_interval=drain_interval,
-        max_pending=max_pending,
-        backpressure=policy,
-        precision=precision,
     )
     try:
         return _background_scenario(
@@ -406,11 +412,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--precision",
-        choices=("float64", "float32", "auto"),
+        choices=("float64", "float32"),
         default="float64",
         help="score-store storage precision for both scenarios "
         "(float64 is the bit-identity reference; float32 halves the "
-        "score memory; auto runs the precision autotuner first)",
+        "score memory)",
     )
     args = parser.parse_args(argv)
 

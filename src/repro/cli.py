@@ -12,7 +12,7 @@ Commands
     ``+ source target`` or ``- source target`` per line.
 ``similar <edges.txt> <node> [-k 10]``
     Top-k most similar nodes to one node (single-source query).
-``serve <edges.txt> <updates.txt> [-k 10] [--writer background] [--precision float32|auto] [--config service.json] [--http PORT] [--data-dir DIR]``
+``serve <edges.txt> <updates.txt> [-k 10] [--writer background] [--precision float32] [--config service.json] [--http PORT] [--data-dir DIR]``
     Serving-layer demo: precompute scores, pin a read snapshot, queue
     the updates through the coalescing scheduler, drain them (inline,
     or via the background writer thread with ``--writer background``),
@@ -122,11 +122,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--precision",
-        choices=("float64", "float32", "auto"),
+        choices=("float64", "float32"),
         default="float64",
         help="score-store storage precision: float64 (bit-identity "
-        "reference), float32 (half the score memory), or auto (run the "
-        "accuracy-gated precision autotuner before serving)",
+        "reference) or float32 (half the score memory)",
     )
     serve.add_argument(
         "--http",
@@ -237,36 +236,49 @@ def command_similar(args: argparse.Namespace) -> int:
 
 
 def _build_service(args: argparse.Namespace, graph):
-    """Build the service from ``--config`` and/or the per-knob flags.
+    """Build the service from one :class:`ServiceConfig`.
 
-    Only flags that differ from their argparse defaults count as
-    explicit, so a config file and untouched flags coexist — while an
-    explicitly conflicting flag raises the resolver's ConfigError.
+    Without ``--config`` the config comes from the flags.  With it the
+    file is the config, and a flag passed with a value other than its
+    default must agree with the file: a conflict raises ConfigError
+    rather than silently preferring one side.
     """
-    from .serving import SimRankService
+    from .exceptions import ConfigError
+    from .serving import DurabilityConfig, ServiceConfig, SimRankService
 
-    service_kwargs = {}
+    flags = {
+        "writer": args.writer,
+        "backpressure": args.backpressure,
+        "precision": args.precision,
+    }
     if args.data_dir is not None:
-        from .serving import DurabilityConfig
-
-        service_kwargs["durability"] = DurabilityConfig(
+        flags["durability"] = DurabilityConfig(
             data_dir=args.data_dir,
             fsync=args.fsync,
             checkpoint_interval=args.checkpoint_interval,
         )
-    if args.config is not None:
-        # Subcommand flag defaults live on the serve subparser, not the
-        # root, so recover them by parsing a placeholder command line.
-        defaults = build_parser().parse_args(["serve", "_", "_"])
-        flag_kwargs = dict(service_kwargs)
-        for name in ("writer", "backpressure", "precision"):
-            value = getattr(args, name)
-            if value != getattr(defaults, name):
-                flag_kwargs[name] = value
-        return SimRankService(graph, config=args.config, **flag_kwargs)
-    return SimRankService(
-        graph, _config(args), precision=args.precision, **service_kwargs
-    )
+    if args.config is None:
+        config = ServiceConfig(
+            damping=args.damping, iterations=args.iterations, **flags
+        )
+        return SimRankService(graph, config)
+    config = ServiceConfig.load(args.config)
+    # Subcommand flag defaults live on the serve subparser, not the
+    # root, so recover them by parsing a placeholder command line.
+    defaults = build_parser().parse_args(["serve", "_", "_"])
+    # --data-dir has no default, so durability always counts as explicit.
+    conflicts = [
+        f"{name}: config={getattr(config, name)!r} flag={value!r}"
+        for name, value in sorted(flags.items())
+        if getattr(defaults, name, None) != value
+        and getattr(config, name) != value
+    ]
+    if conflicts:
+        raise ConfigError(
+            f"--config {args.config} conflicts with explicit flags "
+            f"({', '.join(conflicts)}); drop the flags or change the file"
+        )
+    return SimRankService(graph, config)
 
 
 def _serve_http(service, args: argparse.Namespace) -> int:
@@ -313,17 +325,9 @@ def command_serve(args: argparse.Namespace) -> int:
             flush=True,
         )
     if args.precision != "float64":
-        store = service.engine.score_store
-        plan = service.precision_plan
-        detail = (
-            f" (autotuned plan: store {plan.store_dtype}, "
-            f"{len(plan.demoted_shards())} shard overrides)"
-            if plan is not None
-            else ""
-        )
         print(
             f"precision {args.precision}: score store dtype "
-            f"{store.dtype.name}{detail}"
+            f"{service.engine.score_store.dtype.name}"
         )
 
     if args.http is not None:

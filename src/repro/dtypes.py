@@ -1,11 +1,13 @@
 """Single source of truth for the score-matrix storage dtype.
 
 Every layer that materializes score values — the engine, the
-:class:`~repro.executor.score_store.ScoreStore` shards, the memory
-accounting, and the precision autotuner — resolves its storage dtype
-here.  This module is the one place that decides which float
-dtypes are legal score *storage* types and what the default is, so a
-precision change is a parameter, not a multi-file edit.
+:class:`~repro.executor.score_store.ScoreStore` shards, checkpoints,
+and the memory accounting — resolves its storage dtype here.  This
+module is the one place that decides which float dtypes are legal
+score *storage* types and what the default is.  A store holds all of
+its shards in one dtype, chosen when it is built
+(``ServiceConfig.precision``), so a precision change is a parameter,
+not a multi-file edit.
 
 Two invariants the rest of the stack relies on:
 
@@ -14,7 +16,7 @@ Two invariants the rest of the stack relies on:
   results to the pre-dtype-seam implementation.
 * Plan *values* always travel as float64 (the packed wire format
   bit-copies them through int64 words); reduced precision applies to
-  shard **storage**, where the scatter-add casts on store.  That keeps
+  score **storage**, where the scatter-add casts on store.  That keeps
   live apply and WAL replay arithmetic bit-identical at any storage
   dtype.
 """

@@ -7,7 +7,7 @@ Four pieces, one data directory:
   ``PackedPlanBatch`` words plus its consolidated row updates, framed
   with length + CRC32, with configurable fsync and rotation).
 * :mod:`repro.durability.checkpoint` — atomic base checkpoints: the
-  score shards dtype-exact, the packed ``Q`` snapshot, an optional
+  score shards in the store's dtype, the packed ``Q`` snapshot, an optional
   SVD-truncated factor history, published by manifest rename.
 * :mod:`repro.durability.manager` — the orchestration: recovery on
   startup (bit-identical to the last acked drain), per-drain appends
@@ -16,8 +16,9 @@ Four pieces, one data directory:
 * :mod:`repro.durability.reaper` — reclaims the stale ``wal.lock`` and
   checkpoint scratch dirs a SIGKILL'd owner left behind.
 
-Enable it with ``SimRankService(graph, durability="/path/to/dir")``
-(or a full :class:`~repro.serving.config.DurabilityConfig`), or
+Enable it with ``SimRankService(graph, ServiceConfig(durability=
+DurabilityConfig(data_dir="/path/to/dir")))`` (see
+:class:`~repro.serving.config.DurabilityConfig`), or
 ``python -m repro serve ... --data-dir /path/to/dir``.
 """
 

@@ -2,9 +2,9 @@
 
 A checkpoint is the replay base the WAL's delta frames build on: the
 score shards exactly as the :class:`~repro.executor.score_store.ScoreStore`
-holds them (per-shard storage dtype preserved — a float32 shard is
-saved as float32 and restores bit-identically via the exact
-float32→float64→float32 round trip) plus the packed
+holds them (in the store's one storage dtype, recorded as
+``score_dtype`` in ``meta.json``, so a float32 store is saved as
+float32 and restores bit-identically) plus the packed
 :class:`~repro.linalg.qstore.TransitionSnapshot` payload, from which
 both ``Q`` *and* the graph are rebuilt (row ``i`` of the backward CSR
 lists ``i``'s in-neighbors; ``TransitionStore.from_graph`` is
@@ -155,7 +155,9 @@ class CheckpointData:
 
     version: int
     meta: dict
-    #: Shard blocks in saved order, each in its storage dtype.
+    #: The store's storage dtype name (``float64``/``float32``).
+    score_dtype: str
+    #: Shard blocks in saved order, in ``score_dtype``.
     shards: List[np.ndarray] = field(default_factory=list)
     #: ``TransitionStore.export_packed()`` payload.
     packed_q: Dict[str, np.ndarray] = field(default_factory=dict)
@@ -186,10 +188,8 @@ def write_checkpoint(
     os.makedirs(tmp, exist_ok=True)
 
     shard_arrays = {}
-    shard_dtypes = []
     for index, (_base, block) in enumerate(score_store.iter_shard_blocks()):
         shard_arrays[f"shard_{index:05d}"] = np.ascontiguousarray(block)
-        shard_dtypes.append(block.dtype.name)
     _savez(os.path.join(tmp, "scores.npz"), shard_arrays)
 
     packed = transition_store.export_packed()
@@ -208,7 +208,7 @@ def write_checkpoint(
         "version": int(version),
         "num_nodes": int(score_store.num_nodes),
         "shard_rows": int(score_store.shard_rows),
-        "shard_dtypes": shard_dtypes,
+        "score_dtype": score_store.dtype.name,
         "damping": float(damping),
         "iterations": int(iterations),
         "has_history": history is not None,
@@ -256,6 +256,24 @@ def _remove_tree(path: str) -> None:
         pass
 
 
+def _score_dtype(meta: dict, path: str) -> str:
+    """The one storage dtype a checkpoint's shards were saved in.
+
+    Checkpoints record ``score_dtype``; older ones list one dtype per
+    shard under ``shard_dtypes``, which must then all agree.
+    """
+    if "score_dtype" in meta:
+        return str(meta["score_dtype"])
+    names = set(meta.get("shard_dtypes", []))
+    if len(names) > 1:
+        raise CorruptLogError(
+            f"checkpoint {path} mixes shard dtypes {sorted(names)}; a "
+            "score store holds one dtype",
+            path=path,
+        )
+    return names.pop() if names else "float64"
+
+
 def load_checkpoint(path: str) -> CheckpointData:
     """Load one published checkpoint directory."""
     try:
@@ -284,6 +302,7 @@ def load_checkpoint(path: str) -> CheckpointData:
     return CheckpointData(
         version=int(meta["version"]),
         meta=meta,
+        score_dtype=_score_dtype(meta, path),
         shards=shards,
         packed_q=packed_q,
         history=history,

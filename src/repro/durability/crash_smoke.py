@@ -78,13 +78,13 @@ def workload(seed: int):
 
 def run_child(data_dir: str, seed: int) -> int:
     """Serve the seeded workload durably until killed."""
-    from ..serving import DurabilityConfig, SimRankService
+    from ..serving import DurabilityConfig, ServiceConfig, SimRankService
 
     graph, _ = build_graph(seed)
     config = DurabilityConfig(
         data_dir=data_dir, checkpoint_interval=5, fsync="off"
     )
-    service = SimRankService(graph, durability=config)
+    service = SimRankService(graph, ServiceConfig(durability=config))
     base = service.version  # a later round resumes mid-history
     for step, batch in enumerate(workload(seed)):
         if step < base:
@@ -113,7 +113,7 @@ def oracle_scores(seed: int, version: int) -> np.ndarray:
 
 def run_round(data_dir: str, seed: int, round_index: int) -> int:
     """One kill/recover/compare cycle; returns the recovered version."""
-    from ..serving import DurabilityConfig, SimRankService
+    from ..serving import DurabilityConfig, ServiceConfig, SimRankService
     from .manager import DurabilityManager
 
     rng = random.Random((seed << 8) + round_index)
@@ -182,7 +182,7 @@ def run_round(data_dir: str, seed: int, round_index: int) -> int:
     from ..graph.digraph import DynamicDiGraph
 
     service = SimRankService(
-        DynamicDiGraph.from_edges(1, []), durability=config
+        DynamicDiGraph.from_edges(1, []), ServiceConfig(durability=config)
     )
     assert service.version == recovered.version
     service.close()

@@ -79,9 +79,9 @@ class RecoveredState:
 
     version: int
     graph: DynamicDiGraph
-    #: Dense scores at the store's widest dtype (float64 promotion of a
-    #: float32 shard is exact, and the engine's re-sharding cast back is
-    #: the exact inverse — the round trip preserves every bit).
+    #: Dense scores in the store's dtype (the engine's float64 staging
+    #: of float32 values is exact, and its cast back into a float32
+    #: store is the exact inverse — the round trip preserves every bit).
     scores: np.ndarray
     meta: dict
 
@@ -456,26 +456,21 @@ class DurabilityManager:
         )
 
     def _store_from_checkpoint(self, data) -> ScoreStore:
-        """Rebuild a shard-exact ScoreStore from saved blocks.
+        """Rebuild the ScoreStore from saved blocks, in their dtype.
 
-        The dense staging array is float64 (promotion is exact), the
-        store is built float64, then each shard is demoted back to its
-        saved dtype — a value cast of values that *were* that dtype,
-        so every bit survives.  Replayed plans then scatter with the
-        same per-shard cast points as the live drains did.
+        The blocks already hold values of the store's dtype, so the
+        rebuild is exact, and replayed plans then scatter with the same
+        cast points the live drains did.
         """
-        n = int(data.meta["num_nodes"])
-        shard_rows = int(data.meta["shard_rows"])
-        dense = np.empty((n, n), dtype=np.float64)
-        base = 0
-        for block in data.shards:
-            dense[base : base + block.shape[0], :] = block
-            base += block.shape[0]
-        store = ScoreStore(dense, shard_rows=shard_rows, dtype="float64")
-        for index, name in enumerate(data.meta.get("shard_dtypes", [])):
-            if name != "float64":
-                store.set_shard_dtype(index, name)
-        return store
+        if data.shards:
+            scores = np.concatenate(data.shards, axis=0)
+        else:
+            scores = np.zeros((0, 0), dtype=data.score_dtype)
+        return ScoreStore(
+            scores,
+            shard_rows=int(data.meta["shard_rows"]),
+            dtype=data.score_dtype,
+        )
 
     # -------------------------------------------------------------- #
     # Observability / lifecycle

@@ -98,11 +98,11 @@ class DynamicSimRank:
         Row-block size of the sharded score store (default
         :data:`~repro.executor.score_store.DEFAULT_SHARD_ROWS`).
     score_dtype:
-        Storage dtype of the score shards (``"float64"`` default,
-        ``"float32"`` opt-in).  Planning and the union-support GEMM stay
-        float64; reduced precision applies only where blocks are
-        scattered into shard storage.  The float64 default is the
-        bit-identity reference.
+        Storage dtype of the whole score store, one value for every
+        shard (``"float64"`` default, ``"float32"`` opt-in).  Planning
+        and the union-support GEMM stay float64; reduced precision
+        applies only where blocks are scattered into storage.  The
+        float64 default is the bit-identity reference.
     telemetry:
         A :class:`repro.telemetry.Telemetry` facade threaded through to
         the score store (the per-plan apply-latency histogram).
@@ -177,7 +177,7 @@ class DynamicSimRank:
 
     @property
     def score_dtype(self) -> np.dtype:
-        """The configured storage dtype of the score shards."""
+        """The score store's storage dtype (one for all shards)."""
         return self._score_dtype
 
     @property

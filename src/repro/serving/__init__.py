@@ -22,7 +22,8 @@ evolve.  This package puts the read/write split on top of the engine:
   ``snapshot`` pins the current version.
 * :mod:`repro.serving.config` — :class:`ServiceConfig` /
   :class:`FrontDoorConfig`, the typed, validated, JSON-round-trippable
-  deployment shape (``SimRankService(config=...)`` and
+  deployment shape and the only way to configure a service
+  (``SimRankService(graph, ServiceConfig.load(path))`` and
   ``serve --config service.json`` consume the same file).
 * :mod:`repro.serving.envelopes` — :class:`QueryRequest` /
   :class:`QueryResult`, the one request/response shape shared by the
@@ -37,7 +38,6 @@ from .config import (
     FrontDoorConfig,
     ServiceConfig,
     TelemetryConfig,
-    resolve_service_config,
 )
 from .envelopes import (
     ERROR_STATUS,
@@ -63,7 +63,6 @@ __all__ = [
     "FrontDoorConfig",
     "TelemetryConfig",
     "DurabilityConfig",
-    "resolve_service_config",
     "QueryRequest",
     "QueryResult",
     "QUERY_KINDS",

@@ -1,10 +1,8 @@
 """Typed, validated, JSON-round-trippable service configuration.
 
-:class:`SimRankService` accumulated a kwarg sprawl over the PRs that
-grew it — writer mode, drain cadence, backpressure, shard size,
-precision, durability, … — and the
-``serve`` CLI re-declared every knob as a flag.  :class:`ServiceConfig`
-is the single typed source of truth for all of it:
+:class:`ServiceConfig` is the one way to configure a
+:class:`SimRankService` — writer mode, drain cadence, backpressure,
+shard size, precision, durability, …  It is:
 
 * **validated once** — every field is checked at construction against
   the same legal domains the service enforces, so a bad config fails
@@ -13,13 +11,8 @@ is the single typed source of truth for all of it:
 * **JSON round-trippable** — :meth:`ServiceConfig.to_dict` /
   :meth:`ServiceConfig.from_dict` (and :meth:`save` / :meth:`load`)
   carry the full deployment shape through a config file, so
-  ``SimRankService(config=ServiceConfig.load(path))`` and
-  ``serve --config service.json`` describe identical services;
-* **compatible** — the historical keyword arguments still work: the
-  service builds a config from them, and passing *both* an explicit
-  :class:`ServiceConfig` and a conflicting legacy kwarg raises
-  :class:`~repro.exceptions.ConfigError` instead of silently picking
-  one.
+  ``SimRankService(graph, ServiceConfig.load(path))`` and
+  ``serve --config service.json`` describe identical services.
 
 :class:`FrontDoorConfig` nests the network-layer knobs (bind address,
 admission batch cap, session TTL) so one file configures the whole stack,
@@ -45,10 +38,9 @@ from .writer import (
 WRITER_MODES = ("sync", "background")
 
 #: Score-store precision modes: ``float64`` (the bit-identity
-#: reference, default), ``float32`` (uniform demotion, caller-asserted
-#: accuracy), or ``auto`` (consume — or search for — an accuracy-gated
-#: :class:`~repro.tuning.precision.PrecisionPlan`).
-PRECISION_MODES = ("float64", "float32", "auto")
+#: reference, default) or ``float32`` (half the score memory; every
+#: shard stores float32, plan arithmetic stays float64).
+PRECISION_MODES = ("float64", "float32")
 
 #: Default idle TTL of a pinned-snapshot session (seconds).
 DEFAULT_SESSION_TTL = 30.0
@@ -323,11 +315,29 @@ class DurabilityConfig:
 class ServiceConfig:
     """The full deployment shape of one :class:`SimRankService`.
 
-    Every field mirrors a (former) ``SimRankService.__init__`` keyword;
-    see that class for per-knob semantics.  ``damping``/``iterations``
-    carry the SimRank algorithm configuration so one JSON file
-    describes the whole service (:meth:`simrank_config` derives the
+    ``damping``/``iterations`` carry the SimRank algorithm
+    configuration so one JSON file describes the whole service
+    (:meth:`simrank_config` derives the
     :class:`~repro.config.SimRankConfig`).
+
+    Parameters
+    ----------
+    shard_rows:
+        Row-block size of the score store (``None`` = the engine
+        default).
+    writer:
+        ``"sync"`` (caller-driven drains) or ``"background"`` (the
+        service starts a :class:`~repro.serving.writer.BackgroundWriter`
+        at construction).
+    drain_interval, max_pending, backpressure:
+        Background-writer tuning; ignored in sync mode.
+    precision:
+        One of :data:`PRECISION_MODES`: the storage dtype of the whole
+        score store.
+    frontdoor, telemetry, durability:
+        The nested network, telemetry and persistence configs
+        (``None`` = front-door defaults, telemetry defaults, and no
+        durability).
     """
 
     damping: float = DEFAULT_DAMPING
@@ -338,10 +348,6 @@ class ServiceConfig:
     max_pending: int = DEFAULT_MAX_PENDING
     backpressure: str = "block"
     precision: str = "float64"
-    #: A :class:`~repro.tuning.precision.PrecisionPlan`, its
-    #: ``to_dict()`` payload, or a path to a saved plan file; only read
-    #: when ``precision="auto"``.
-    precision_plan: object = None
     frontdoor: Optional[FrontDoorConfig] = field(default=None)
     telemetry: Optional[TelemetryConfig] = field(default=None)
     durability: Optional[DurabilityConfig] = field(default=None)
@@ -397,14 +403,6 @@ class ServiceConfig:
                 "durability must be None or a DurabilityConfig, got "
                 f"{type(self.durability).__name__}"
             )
-        if (
-            self.precision_plan is not None
-            and self.precision != "auto"
-        ):
-            raise ConfigError(
-                "precision_plan is only consumed with precision='auto' "
-                f"(got precision={self.precision!r})"
-            )
 
     # -------------------------------------------------------------- #
     # Derived views
@@ -425,12 +423,7 @@ class ServiceConfig:
     # -------------------------------------------------------------- #
 
     def to_dict(self) -> dict:
-        """JSON-safe payload (the exact :meth:`from_dict` input).
-
-        A live :class:`~repro.tuning.precision.PrecisionPlan` in
-        ``precision_plan`` is flattened to its ``to_dict()`` payload so
-        the round trip stays self-contained.
-        """
+        """JSON-safe payload (the exact :meth:`from_dict` input)."""
         payload = {}
         for spec in fields(self):
             value = getattr(self, spec.name)
@@ -439,10 +432,6 @@ class ServiceConfig:
                 and value is not None
             ):
                 value = value.to_dict()
-            elif spec.name == "precision_plan" and value is not None:
-                to_dict = getattr(value, "to_dict", None)
-                if callable(to_dict):
-                    value = to_dict()
             payload[spec.name] = value
         return payload
 
@@ -493,53 +482,3 @@ class ServiceConfig:
                     f"invalid JSON in service config {path!r}: {exc}"
                 ) from None
         return cls.from_dict(payload)
-
-
-def resolve_service_config(config, overrides: dict) -> ServiceConfig:
-    """Coerce the service's ``config`` argument + legacy kwargs to one
-    validated :class:`ServiceConfig`.
-
-    ``config`` may be ``None``, a :class:`~repro.config.SimRankConfig`
-    (the historical second positional argument), a
-    :class:`ServiceConfig`, its ``to_dict()`` payload, or a path to a
-    saved config file.  ``overrides`` holds only the legacy keyword
-    arguments the caller passed *explicitly*.
-
-    The compatibility contract: legacy kwargs on top of ``None`` or a
-    ``SimRankConfig`` simply build the config; on top of an explicit
-    :class:`ServiceConfig` they must agree with it — any explicitly
-    passed kwarg whose value differs from the config's field raises
-    :class:`~repro.exceptions.ConfigError` rather than silently
-    preferring one side.
-    """
-    if isinstance(config, str):
-        config = ServiceConfig.load(config)
-    elif isinstance(config, dict):
-        config = ServiceConfig.from_dict(config)
-    if isinstance(config, ServiceConfig):
-        conflicts = {
-            name: (getattr(config, name), value)
-            for name, value in overrides.items()
-            if getattr(config, name) != value
-        }
-        if conflicts:
-            detail = ", ".join(
-                f"{name}: config={have!r} kwarg={want!r}"
-                for name, (have, want) in sorted(conflicts.items())
-            )
-            raise ConfigError(
-                f"explicit ServiceConfig conflicts with keyword "
-                f"arguments ({detail}); drop the kwargs or change the "
-                f"config"
-            )
-        return config
-    if isinstance(config, SimRankConfig):
-        overrides = dict(overrides)
-        overrides.setdefault("damping", config.damping)
-        overrides.setdefault("iterations", config.iterations)
-    elif config is not None:
-        raise ConfigError(
-            "config must be a ServiceConfig, a SimRankConfig, a dict, a "
-            f"path, or None, got {type(config).__name__}"
-        )
-    return ServiceConfig(**overrides)

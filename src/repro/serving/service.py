@@ -40,13 +40,7 @@ from ..exceptions import (
 from ..graph.digraph import DynamicDiGraph
 from ..graph.updates import EdgeUpdate, UpdateBatch
 from ..incremental.engine import DynamicSimRank
-from .config import (  # noqa: F401  (re-exported for compatibility)
-    PRECISION_MODES,
-    WRITER_MODES,
-    DurabilityConfig,
-    ServiceConfig,
-    resolve_service_config,
-)
+from .config import ServiceConfig
 from ..telemetry import Telemetry
 from .envelopes import QueryRequest, QueryResult, run_query
 from .scheduler import UpdateScheduler
@@ -57,26 +51,6 @@ from .writer import (
     BackgroundWriter,
 )
 
-#: Sentinel distinguishing "kwarg not passed" from any real value, so
-#: the legacy-kwarg compatibility layer only reports *explicitly*
-#: passed arguments to :func:`resolve_service_config` (an untouched
-#: default can never conflict with an explicit :class:`ServiceConfig`).
-_UNSET = object()
-
-
-def _coerce_durability(value):
-    """Accept a data-dir string, a wire dict, or a DurabilityConfig."""
-    if value is None or isinstance(value, DurabilityConfig):
-        return value
-    if isinstance(value, str):
-        return DurabilityConfig(data_dir=value)
-    if isinstance(value, dict):
-        return DurabilityConfig.from_dict(value)
-    raise ConfigError(
-        "durability must be a data-dir path, a DurabilityConfig, or a "
-        f"config dict, not {type(value).__name__}"
-    )
-
 
 class SimRankService:
     """Versioned SimRank serving over a link-evolving graph.
@@ -86,88 +60,42 @@ class SimRankService:
     graph:
         The live :class:`DynamicDiGraph` this service owns.
     config:
-        The deployment shape: a :class:`ServiceConfig`, its
-        ``to_dict()`` payload, a path to a saved config file, a bare
-        :class:`~repro.config.SimRankConfig` (the historical second
-        positional argument), or None.  The remaining keyword
-        arguments are the historical per-knob surface; they still work
-        and build a :class:`ServiceConfig` under the hood.  Passing an
-        explicit :class:`ServiceConfig` *and* a conflicting keyword
-        raises :class:`~repro.exceptions.ConfigError` — see
-        :func:`resolve_service_config`.
-    initial_scores, shard_rows:
-        Forwarded to the underlying :class:`DynamicSimRank` engine.
-    writer:
-        ``"sync"`` (caller-driven drains) or ``"background"`` (start a
-        :class:`BackgroundWriter` immediately).
-    drain_interval, max_pending, backpressure:
-        Background-writer tuning; ignored in sync mode (start one later
-        with :meth:`start_background_writer`).
-    precision:
-        One of :data:`PRECISION_MODES` (default ``"float64"``).
-        ``"float32"`` stores the score shards uniformly at float32
-        (planning/GEMM arithmetic stays float64; only the stored scores
-        are rounded).
-        ``"auto"`` consumes ``precision_plan`` — or, when none is
-        given, runs a small seeded
-        :class:`~repro.tuning.precision.PrecisionAutotuner` calibration
-        against a float64 reference leg before serving starts.
-    precision_plan:
-        A :class:`~repro.tuning.precision.PrecisionPlan`, its
-        ``to_dict()`` payload, or a path to a saved plan file.  Only
-        read when ``precision="auto"``.
-    durability:
-        A data-dir path, a
-        :class:`~repro.serving.config.DurabilityConfig`, or its
-        ``to_dict()`` payload.  When set, the service recovers any
-        state already in the data dir (the recovered graph/scores win
-        over the ``graph``/``initial_scores`` arguments), appends every
-        acked drain to a checksummed write-ahead log before the ack is
-        released, writes periodic checkpoints, and serves time-travel
-        reads (:meth:`score_at`, :meth:`top_k_at`, :meth:`view_at`)
-        over the retained history.
+        The deployment shape, a :class:`ServiceConfig` (``None`` = all
+        defaults) — see that class for every knob.  Load a saved file
+        with :meth:`ServiceConfig.load` (or a payload with
+        :meth:`ServiceConfig.from_dict`).  With ``writer="background"``
+        the writer thread starts here.  With durability configured the
+        service recovers any state already in the data dir (the
+        recovered graph/scores win over the ``graph``/``initial_scores``
+        arguments), appends every acked drain to a checksummed
+        write-ahead log before the ack is released, writes periodic
+        checkpoints, and serves time-travel reads (:meth:`score_at`,
+        :meth:`top_k_at`, :meth:`view_at`) over the retained history.
+    initial_scores:
+        Optional precomputed ``S`` for ``graph`` (skips the batch
+        precomputation), forwarded to the :class:`DynamicSimRank`
+        engine.
     """
 
     def __init__(
         self,
         graph: DynamicDiGraph,
-        config=None,
+        config: Optional[ServiceConfig] = None,
         initial_scores: Optional[np.ndarray] = None,
-        shard_rows=_UNSET,
-        writer=_UNSET,
-        drain_interval=_UNSET,
-        max_pending=_UNSET,
-        backpressure=_UNSET,
-        precision=_UNSET,
-        precision_plan=_UNSET,
-        durability=_UNSET,
     ) -> None:
-        if durability is not _UNSET:
-            durability = _coerce_durability(durability)
-        legacy = {
-            "shard_rows": shard_rows,
-            "writer": writer,
-            "drain_interval": drain_interval,
-            "max_pending": max_pending,
-            "backpressure": backpressure,
-            "precision": precision,
-            "precision_plan": precision_plan,
-            "durability": durability,
-        }
-        overrides = {
-            name: value
-            for name, value in legacy.items()
-            if value is not _UNSET
-        }
-        if overrides.get("precision", "") is None:
-            # Historical callers passed precision=None for "the default".
-            del overrides["precision"]
-        cfg = resolve_service_config(config, overrides)
-        self._config = cfg
+        if config is None:
+            config = ServiceConfig()
+        elif not isinstance(config, ServiceConfig):
+            raise ConfigError(
+                "config must be a ServiceConfig or None, got "
+                f"{type(config).__name__}; load a file with "
+                "ServiceConfig.load(path)"
+            )
+        self._config = config
         #: The service's telemetry spine, shared by every layer below
         #: (engine, score store) and above (front door): one metric
         #: registry, one trace ring, one flight recorder.
-        self.telemetry = Telemetry.from_config(cfg.telemetry)
+        self.telemetry = Telemetry.from_config(config.telemetry)
         self._query_hist = self.telemetry.registry.histogram(
             "repro_service_query_seconds",
             help="In-process query latency (snapshot pin + execute)",
@@ -179,18 +107,16 @@ class SimRankService:
         #: Trace ids of traced update submissions awaiting the drain
         #: that folds them in (bounded; drained by the next apply).
         self._origin_traces: list = []
-        simrank_config = cfg.simrank_config()
-        self._precision = cfg.precision
-        self._precision_plan = None
+        simrank_config = config.simrank_config()
         self._closed = False
         self._close_lock = threading.RLock()
         self._drain_listeners: list = []
         self._durability = None
-        if cfg.durability is not None:
+        if config.durability is not None:
             from ..durability.manager import DurabilityManager
 
             self._durability = DurabilityManager(
-                cfg.durability, telemetry=self.telemetry
+                config.durability, telemetry=self.telemetry
             )
         try:
             recovered = None
@@ -203,36 +129,18 @@ class SimRankService:
                 if recovered is not None:
                     graph = recovered.graph
                     initial_scores = recovered.scores
-            score_dtype = (
-                self._precision if self._precision != "auto" else None
-            )
-            if self._precision == "auto":
-                plan, initial_scores = self._resolve_precision_plan(
-                    cfg.precision_plan,
-                    graph,
-                    simrank_config,
-                    initial_scores,
-                    cfg.shard_rows,
-                )
-                self._precision_plan = plan
-                score_dtype = plan.store_dtype
             engine_kwargs = {}
-            if cfg.shard_rows is not None:
-                engine_kwargs["shard_rows"] = cfg.shard_rows
+            if config.shard_rows is not None:
+                engine_kwargs["shard_rows"] = config.shard_rows
             self._engine = DynamicSimRank(
                 graph,
                 simrank_config,
                 algorithm="inc-sr",
                 initial_scores=initial_scores,
-                score_dtype=score_dtype,
+                score_dtype=config.precision,
                 telemetry=self.telemetry,
                 **engine_kwargs,
             )
-            if (
-                self._precision_plan is not None
-                and not self._precision_plan.uniform
-            ):
-                self._precision_plan.apply_to(self._engine.score_store)
             if self._durability is not None:
                 if recovered is not None:
                     self._engine.restore_version(recovered.version)
@@ -244,50 +152,12 @@ class SimRankService:
             raise
         self._scheduler = UpdateScheduler()
         self._writer: Optional[BackgroundWriter] = None
-        if cfg.writer == "background":
+        if config.writer == "background":
             self.start_background_writer(
-                drain_interval=cfg.drain_interval,
-                max_pending=cfg.max_pending,
-                policy=cfg.backpressure,
+                drain_interval=config.drain_interval,
+                max_pending=config.max_pending,
+                policy=config.backpressure,
             )
-
-    @staticmethod
-    def _resolve_precision_plan(
-        precision_plan, graph, config, initial_scores, shard_rows
-    ):
-        """Coerce ``precision_plan`` to a plan, autotuning when absent.
-
-        Returns ``(plan, initial_scores)`` — the autotuner computes the
-        initial batch scores when the caller did not supply them, and
-        handing them back avoids recomputing the same matrix for the
-        engine.
-        """
-        from ..tuning.precision import (
-            PrecisionAutotuner,
-            PrecisionPlan,
-        )
-
-        if precision_plan is not None:
-            if isinstance(precision_plan, PrecisionPlan):
-                return precision_plan, initial_scores
-            if isinstance(precision_plan, dict):
-                return PrecisionPlan.from_dict(precision_plan), initial_scores
-            if isinstance(precision_plan, str):
-                return PrecisionPlan.load(precision_plan), initial_scores
-            raise ConfigError(
-                "precision_plan must be a PrecisionPlan, a dict, or a "
-                f"path, got {type(precision_plan).__name__}"
-            )
-        tuner_kwargs = {}
-        if shard_rows is not None:
-            tuner_kwargs["shard_rows"] = shard_rows
-        tuner = PrecisionAutotuner(
-            graph,
-            config=config,
-            initial_scores=initial_scores,
-            **tuner_kwargs,
-        )
-        return tuner.run(), tuner.initial_scores
 
     # -------------------------------------------------------------- #
     # Writer lifecycle
@@ -412,7 +282,7 @@ class SimRankService:
 
     @property
     def service_config(self) -> ServiceConfig:
-        """The resolved deployment shape (whatever surface built it)."""
+        """The deployment shape this service was built from."""
         return self._config
 
     @property
@@ -432,18 +302,8 @@ class SimRankService:
 
     @property
     def precision(self) -> str:
-        """The configured precision mode (:data:`PRECISION_MODES`)."""
-        return self._precision
-
-    @property
-    def precision_plan(self):
-        """The consumed/derived precision plan (``auto`` mode), or None.
-
-        Serializable: ``plan.save(path)`` then
-        ``SimRankService(..., precision="auto", precision_plan=path)``
-        restores the exact same dtype layout after a restart.
-        """
-        return self._precision_plan
+        """The score store's precision mode (``float64``/``float32``)."""
+        return self._config.precision
 
     @property
     def version(self) -> int:
@@ -677,7 +537,7 @@ class SimRankService:
             )
         if self._durability is None:
             raise HistoryUnavailableError(
-                "time-travel reads need durability= configured"
+                "time-travel reads need ServiceConfig.durability configured"
             )
         return self._durability.view_at(version, self._engine.config)
 
@@ -757,14 +617,7 @@ class SimRankService:
         else:
             report["executor"] = self._engine.score_store.apply_report()
             report["executor"].update(self._engine.score_store.dtype_report())
-        report["precision"] = {
-            "mode": self._precision,
-            "plan": (
-                self._precision_plan.to_dict()
-                if self._precision_plan is not None
-                else None
-            ),
-        }
+        report["precision"] = {"mode": self.precision}
         if self._writer is not None:
             report["writer"] = self._writer.report()
         index = self._engine.topk_index

@@ -1,10 +1,12 @@
-"""Shared update-stream generator for the serving/writer/top-k suites."""
+"""Shared helpers for the serving/writer/top-k suites: a random update
+stream and a :class:`ServiceConfig` built from a ``SimRankConfig``."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from repro.graph.updates import EdgeUpdate
+from repro.serving import ServiceConfig
 
 
 def random_update_stream(graph, num_updates, seed):
@@ -31,3 +33,13 @@ def random_update_stream(graph, num_updates, seed):
         update.apply_to(live)
         updates.append(update)
     return updates
+
+
+def service_config(simrank_config, **fields):
+    """A :class:`ServiceConfig` carrying ``simrank_config``'s damping and
+    iterations plus the given service fields."""
+    return ServiceConfig(
+        damping=simrank_config.damping,
+        iterations=simrank_config.iterations,
+        **fields,
+    )

@@ -8,6 +8,7 @@ import pytest
 from repro.cli import build_parser, load_update_file, main
 from repro.exceptions import GraphError
 from repro.graph.io import save_edge_list
+from repro.serving import ServiceConfig
 
 
 @pytest.fixture
@@ -148,6 +149,30 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: unknown service config keys")
         assert repr(key) in err
+
+    def test_serve_flag_conflicting_with_config_fails(
+        self, edges_file, updates_file, tmp_path, capsys
+    ):
+        config = tmp_path / "service.json"
+        ServiceConfig(writer="sync").save(str(config))
+        argv = ["serve", edges_file, updates_file, "--config", str(config)]
+        assert main(argv + ["--writer", "background"]) == 2
+        err = capsys.readouterr().err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ")
+        assert "conflicts" in lines[0] and "writer" in lines[0]
+        # A flag that agrees with the file is not a conflict.
+        assert main(argv + ["--writer", "sync"]) == 0
+
+    def test_serve_precision_choices(self, edges_file, updates_file, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["serve", edges_file, updates_file, "--precision", "auto"]
+            )
+        argv = ["serve", edges_file, updates_file, "--precision", "float32"]
+        assert main(argv) == 0
+        assert "score store dtype float32" in capsys.readouterr().out
 
     def test_removed_pool_flags_are_unknown(self, edges_file, updates_file):
         for flag in (["--workers", "2"], ["--degraded-policy", "reject"]):

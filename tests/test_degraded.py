@@ -18,6 +18,8 @@ from repro.graph.generators import erdos_renyi_digraph
 from repro.graph.updates import EdgeUpdate
 from repro.serving import SimRankService
 
+from _streams import service_config
+
 CFG = SimRankConfig(damping=0.6, iterations=7)
 
 
@@ -27,7 +29,8 @@ class TestWriterAutoResume:
         on a capped exponential backoff once the queue is repaired."""
         graph = erdos_renyi_digraph(20, 0.1, seed=61)
         service = SimRankService(
-            graph, CFG, writer="background", drain_interval=0.001
+            graph,
+            service_config(CFG, writer="background", drain_interval=0.001),
         )
         try:
             existing = next(iter(graph.edges()))

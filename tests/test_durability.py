@@ -62,6 +62,8 @@ from repro.metrics.topk import top_k_pairs
 from repro.serving import DurabilityConfig, ServiceConfig, SimRankService
 from repro.simrank.matrix import matrix_simrank
 
+from _streams import service_config
+
 CFG = SimRankConfig(damping=0.6, iterations=7)
 
 
@@ -282,8 +284,9 @@ class TestCorruptionProperties:
             data_dir=str(tmp_path), fsync="off", checkpoint_interval=100
         )
         service = SimRankService(
-            graph.copy(), CFG, initial_scores=scores.copy(),
-            durability=config,
+            graph.copy(),
+            service_config(CFG, durability=config),
+            initial_scores=scores.copy(),
         )
         oracle = {}
         for batch in batches:
@@ -337,7 +340,8 @@ class TestCheckpoints:
         )
         data = load_checkpoint(path)
         assert data.version == 0
-        assert data.meta["shard_dtypes"] == ["float32"] * len(data.shards)
+        assert data.meta["score_dtype"] == data.score_dtype == "float32"
+        assert "shard_dtypes" not in data.meta
         assert all(block.dtype == np.float32 for block in data.shards)
         dense = np.vstack(data.shards)
         assert np.array_equal(
@@ -428,16 +432,24 @@ class TestDurabilityConfig:
             DurabilityConfig.from_dict({"data_dir": "/tmp/x", "nope": 1})
 
     def test_service_kwarg_coercion(self, workload, tmp_path):
+        # Durability is configured through ServiceConfig only: the old
+        # durability= kwarg (and its data-dir string coercion) is gone.
         graph, scores, _ = workload
         service = SimRankService(
-            graph.copy(), CFG, initial_scores=scores.copy(),
-            durability=str(tmp_path),
+            graph.copy(),
+            service_config(
+                CFG,
+                durability=DurabilityConfig(data_dir=str(tmp_path)),
+            ),
+            initial_scores=scores.copy(),
         )
         assert service.durability is not None
         assert service.durability.config.data_dir == str(tmp_path)
         service.close()
         with pytest.raises(ConfigError):
-            SimRankService(graph.copy(), CFG, durability=42)
+            ServiceConfig(durability=str(tmp_path))
+        with pytest.raises(TypeError):
+            SimRankService(graph.copy(), durability=str(tmp_path))
 
 
 # ------------------------------------------------------------------ #
@@ -455,8 +467,9 @@ class TestServiceDurability:
             retain_checkpoints=2,
         )
         service = SimRankService(
-            graph.copy(), CFG, initial_scores=scores.copy(),
-            durability=config, **service_kwargs,
+            graph.copy(),
+            service_config(CFG, durability=config, **service_kwargs),
+            initial_scores=scores.copy(),
         )
         oracle = {}
         for batch in batches:
@@ -475,7 +488,8 @@ class TestServiceDurability:
         service._durability = None
         service.close()
         restarted = SimRankService(
-            erdos_renyi_digraph(2, 0.5, seed=1), durability=config
+            erdos_renyi_digraph(2, 0.5, seed=1),
+            ServiceConfig(durability=config),
         )
         assert restarted.version == final
         assert np.array_equal(
@@ -495,7 +509,8 @@ class TestServiceDurability:
         expected = service.engine.similarities().copy()
         service.close()
         restarted = SimRankService(
-            erdos_renyi_digraph(2, 0.5, seed=1), durability=config
+            erdos_renyi_digraph(2, 0.5, seed=1),
+            ServiceConfig(durability=config),
         )
         assert (restarted.version, restarted.num_nodes) == (final, nodes)
         assert np.array_equal(restarted.engine.similarities(), expected)
@@ -513,13 +528,65 @@ class TestServiceDurability:
         service.close()
         restarted = SimRankService(
             erdos_renyi_digraph(2, 0.5, seed=1),
-            precision="float32",
-            durability=config,
+            ServiceConfig(precision="float32", durability=config),
         )
         assert restarted.engine.score_store.dtype == np.float32
         assert np.array_equal(restarted.engine.similarities(), expected)
         assert restarted.version == final
         restarted.close()
+
+    @staticmethod
+    def _legacy_metas(data_dir, dtypes):
+        """Rewrite every checkpoint's meta.json in the older per-shard
+        form: a ``shard_dtypes`` list (``dtypes(count)``) in place of
+        ``score_dtype``."""
+        paths = []
+        for _version, path in list_checkpoints(data_dir):
+            meta_path = os.path.join(path, "meta.json")
+            with open(meta_path, "r", encoding="utf-8") as handle:
+                meta = json.load(handle)
+            del meta["score_dtype"]
+            count = len(load_checkpoint(path).shards)
+            meta["shard_dtypes"] = dtypes(count)
+            with open(meta_path, "w", encoding="utf-8") as handle:
+                json.dump(meta, handle)
+            paths.append(path)
+        return paths
+
+    def test_uniform_shard_dtypes_meta_recovers(self, workload, tmp_path):
+        service, config, oracle = self._run(
+            workload, tmp_path, precision="float32", shard_rows=8
+        )
+        final = service.version
+        expected = service.engine.similarities().copy()
+        service.close()
+        self._legacy_metas(str(tmp_path), lambda count: ["float32"] * count)
+        restarted = SimRankService(
+            erdos_renyi_digraph(2, 0.5, seed=1),
+            ServiceConfig(precision="float32", durability=config),
+        )
+        try:
+            assert restarted.version == final
+            assert np.array_equal(restarted.engine.similarities(), expected)
+        finally:
+            restarted.close()
+
+    def test_mixed_shard_dtypes_meta_is_corrupt(self, workload, tmp_path):
+        service, config, _oracle = self._run(
+            workload, tmp_path, precision="float32", shard_rows=8
+        )
+        service.close()
+        paths = self._legacy_metas(
+            str(tmp_path),
+            lambda count: ["float64"] + ["float32"] * (count - 1),
+        )
+        with pytest.raises(CorruptLogError) as caught:
+            SimRankService(
+                erdos_renyi_digraph(2, 0.5, seed=1),
+                ServiceConfig(precision="float32", durability=config),
+            )
+        assert caught.value.path in paths
+        assert "mixes shard dtypes" in str(caught.value)
 
     def test_time_travel_matches_brute_force(self, workload, tmp_path):
         service, config, oracle = self._run(workload, tmp_path)
@@ -547,7 +614,8 @@ class TestServiceDurability:
         service, config, oracle = self._run(workload, tmp_path)
         service.close()
         restarted = SimRankService(
-            erdos_renyi_digraph(2, 0.5, seed=1), durability=config
+            erdos_renyi_digraph(2, 0.5, seed=1),
+            ServiceConfig(durability=config),
         )
         horizon = min(restarted.durability.retained_versions())
         for version, reference in oracle.items():
@@ -727,8 +795,9 @@ class TestFrontDoorTimeTravel:
             checkpoint_interval=2, retain_checkpoints=3,
         )
         service = SimRankService(
-            graph.copy(), CFG, initial_scores=scores.copy(),
-            durability=config,
+            graph.copy(),
+            service_config(CFG, durability=config),
+            initial_scores=scores.copy(),
         )
         oracle = {}
         for batch in batches[:4]:

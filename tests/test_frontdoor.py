@@ -55,11 +55,10 @@ from repro.serving import (
     ServiceConfig,
     SimRankService,
     http_status,
-    resolve_service_config,
 )
 from repro.simrank.matrix import matrix_simrank
 
-from _streams import random_update_stream
+from _streams import random_update_stream, service_config
 
 CFG = SimRankConfig(damping=0.6, iterations=7)
 
@@ -72,10 +71,12 @@ def workload():
     return graph, scores, updates
 
 
-def _service(workload, **kwargs):
+def _service(workload, **fields):
     graph, scores, _ = workload
     return SimRankService(
-        graph.copy(), CFG, initial_scores=scores.copy(), **kwargs
+        graph.copy(),
+        service_config(CFG, **fields),
+        initial_scores=scores.copy(),
     )
 
 
@@ -136,14 +137,6 @@ class TestServiceConfig:
         config.save(path)
         assert ServiceConfig.load(path) == config
 
-    def test_kwarg_conflict_detected(self):
-        config = ServiceConfig(writer="background")
-        with pytest.raises(ConfigError, match="conflicts"):
-            resolve_service_config(config, {"writer": "sync"})
-        # Agreeing values are not a conflict.
-        resolved = resolve_service_config(config, {"writer": "background"})
-        assert resolved.writer == "background"
-
     def test_validation(self):
         with pytest.raises(ConfigError):
             ServiceConfig(writer="turbo")
@@ -152,8 +145,9 @@ class TestServiceConfig:
         with pytest.raises(ConfigError):
             FrontDoorConfig(subscription_max_k=0)
 
-    # The six knobs of the removed process-pool executor.  Names are
-    # joined from parts so a source search for them finds no live code.
+    # The six knobs of the removed process-pool executor, and the
+    # removed precision-autotuner plan.  Names are joined from parts so
+    # a source search for them finds no live code.
     @pytest.mark.parametrize(
         "key, value",
         [
@@ -163,6 +157,7 @@ class TestServiceConfig:
             ("_".join(("plan", "batching")), True),
             ("_".join(("executor", "options")), {}),
             ("_".join(("degraded", "policy")), "reject"),
+            ("_".join(("precision", "plan")), "plan.json"),
         ],
     )
     def test_removed_keys_fail_loudly(self, tmp_path, key, value):
@@ -176,6 +171,45 @@ class TestServiceConfig:
         graph = erdos_renyi_digraph(8, 0.2, seed=3)
         with pytest.raises(TypeError):
             SimRankService(graph, **{key: value})
+
+    def test_auto_precision_is_rejected(self, tmp_path):
+        # The score dtype is one store-wide value; there is no search.
+        with pytest.raises(ConfigError, match="auto"):
+            ServiceConfig(precision="auto")
+        path = tmp_path / "service.json"
+        path.write_text(json.dumps({"precision": "auto"}))
+        with pytest.raises(ConfigError, match="auto"):
+            ServiceConfig.load(str(path))
+
+    # The eight per-knob keyword arguments the constructor used to take
+    # next to (graph, config, initial_scores).
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("shard_rows", 16),
+            ("writer", "background"),
+            ("drain_interval", 0.01),
+            ("max_pending", 8),
+            ("backpressure", "error"),
+            ("precision", "float32"),
+            ("_".join(("precision", "plan")), "plan.json"),
+            ("durability", "data-dir"),
+        ],
+    )
+    def test_removed_constructor_kwargs(self, key, value):
+        graph = erdos_renyi_digraph(8, 0.2, seed=3)
+        with pytest.raises(TypeError):
+            SimRankService(graph, ServiceConfig(), **{key: value})
+
+    def test_only_service_config_constructs(self, tmp_path):
+        graph = erdos_renyi_digraph(8, 0.2, seed=3)
+        path = tmp_path / "service.json"
+        ServiceConfig().save(str(path))
+        for config in (SimRankConfig(), str(path), ServiceConfig().to_dict()):
+            with pytest.raises(ConfigError, match="ServiceConfig"):
+                SimRankService(graph, config)
+        with SimRankService(graph, ServiceConfig.load(str(path))) as service:
+            assert service.service_config == ServiceConfig()
 
     def test_removed_frontdoor_key_fails_loudly(self, tmp_path):
         # Admission is work-conserving; the timer knob it replaced must

@@ -31,7 +31,7 @@ from repro.metrics.topk import top_k_pairs
 from repro.serving import SimRankService
 from repro.simrank.matrix import matrix_simrank
 
-from _streams import random_update_stream
+from _streams import random_update_stream, service_config
 
 CFG = SimRankConfig(damping=0.6, iterations=8)
 
@@ -177,7 +177,9 @@ class TestServiceStreamEquivalence:
         replayed = ScoreStore(scores, shard_rows=16)
         dense = scores.copy()
         service = SimRankService(
-            graph, CFG, initial_scores=scores, shard_rows=16
+            graph,
+            service_config(CFG, shard_rows=16),
+            initial_scores=scores,
         )
         try:
             chunk = 12

@@ -1,11 +1,9 @@
-"""Mixed-precision score store + the PROSE-style accuracy autotuner.
+"""Score-store precision: one storage dtype per store.
 
-Covers the dtype seam end to end: per-shard storage dtypes in the
-:class:`ScoreStore`, dtype-aware memory accounting, the ranking-accuracy metrics
-(NDCG@k / top-k overlap) the precision gates are built on, and the
-:class:`PrecisionAutotuner` → :class:`PrecisionPlan` →
-``SimRankService(precision=...)`` loop including restart round
-trips.
+Covers the dtype seam end to end: the :class:`ScoreStore`'s storage
+dtype, dtype-aware memory accounting, the ranking-accuracy metrics
+(NDCG@k / top-k overlap) the float32 bench gates are built on, and
+``ServiceConfig(precision=...)`` on a live service.
 
 The float64 default must stay bit-identical to the pre-dtype stack:
 that invariant is asserted directly here and indirectly by every
@@ -31,14 +29,8 @@ from repro.metrics.memory import score_store_bytes, snapshot_overhead_bytes
 from repro.metrics import ndcg_at_k, top_k_overlap
 from repro.serving import SimRankService
 from repro.simrank.matrix import matrix_simrank
-from repro.tuning import (
-    PrecisionAutotuner,
-    PrecisionGates,
-    PrecisionPlan,
-    calibration_updates,
-)
 
-from _streams import random_update_stream
+from _streams import random_update_stream, service_config
 
 CFG = SimRankConfig(damping=0.6, iterations=8)
 
@@ -84,27 +76,12 @@ class TestDtypePlumbing:
         report = f32.dtype_report()
         assert report["score_dtype"] == "float32"
         assert report["score_dtype_bytes"] == scores.size * 4
-        assert report["shards_by_dtype"] == {"float32": f32.num_shards}
-
-    def test_per_shard_demotion_and_mixed_report(self, workload):
-        _, scores, _ = workload
-        store = ScoreStore(scores.copy(), shard_rows=16)
-        baseline = store.nbytes()
-        assert store.set_shard_dtype(0, "float32")
-        # Idempotent: demoting again reports no change.
-        assert not store.set_shard_dtype(0, "float32")
-        assert store.shard_dtypes()[0] == "float32"
-        assert store.nbytes() < baseline
-        report = store.dtype_report()
-        assert report["shards_by_dtype"]["float32"] == 1
-        # Mixed stores promote to the widest dtype for reads.
-        assert store.dtype == np.float64
-        assert store.to_array().dtype == np.float64
 
     def test_snapshot_preserves_shard_dtypes(self, workload):
         _, scores, _ = workload
         store = ScoreStore(scores.copy(), shard_rows=16, dtype="float32")
         snap = store.snapshot()
+        assert snap.dtype == np.float32
         assert snap.to_array().dtype == np.float32
         assert np.array_equal(snap.to_array(), store.to_array())
 
@@ -195,7 +172,7 @@ class TestAccuracyMetrics:
     def test_stable_under_float32_epsilon(self):
         """Round-tripping through float32 must not crater the gates.
 
-        This is the exact perturbation the autotuner's float32 leg
+        This is the exact perturbation a float32 score store
         introduces: storage rounding at ~1e-7 relative error.
         """
         base = self._scores(seed=8)
@@ -222,103 +199,8 @@ class TestAccuracyMetrics:
 
 
 # ------------------------------------------------------------------ #
-# Autotuner + precision plans
+# Service precision
 # ------------------------------------------------------------------ #
-
-
-class TestPrecisionPlan:
-    def test_plan_json_round_trip(self, tmp_path):
-        plan = PrecisionPlan(
-            store_dtype="float64",
-            shard_dtypes={0: "float32", 2: "float32"},
-            gates=PrecisionGates(min_ndcg=0.995),
-            seed=11,
-            calibration_updates=8,
-            num_nodes=48,
-            shard_rows=16,
-            metrics={"attempts": 3},
-        )
-        path = tmp_path / "plan.json"
-        plan.save(path)
-        loaded = PrecisionPlan.load(path)
-        assert loaded == plan
-        assert loaded.demoted_shards() == [0, 2]
-        assert not loaded.uniform
-
-    def test_plan_rejects_unknown_dtype(self):
-        with pytest.raises(ConfigError):
-            PrecisionPlan(store_dtype="float16")
-        with pytest.raises(ConfigError):
-            PrecisionPlan(shard_dtypes={0: "int8"})
-
-    def test_apply_to_demotes_store_shards(self, workload):
-        _, scores, _ = workload
-        store = ScoreStore(scores.copy(), shard_rows=16)
-        plan = PrecisionPlan(shard_dtypes={1: "float32"})
-        assert plan.apply_to(store) == 1
-        assert store.shard_dtypes()[1] == "float32"
-
-    def test_calibration_updates_are_seeded(self, workload):
-        graph, _, _ = workload
-        first = calibration_updates(graph, 8, seed=4)
-        second = calibration_updates(graph, 8, seed=4)
-        assert [
-            (u.kind, u.source, u.target) for u in first
-        ] == [(u.kind, u.source, u.target) for u in second]
-        other = calibration_updates(graph, 8, seed=5)
-        assert [(u.source, u.target) for u in first] != [
-            (u.source, u.target) for u in other
-        ]
-
-
-class TestPrecisionAutotuner:
-    def test_loose_gates_accept_whole_store_float32(self, workload):
-        graph, scores, _ = workload
-        tuner = PrecisionAutotuner(
-            graph,
-            CFG,
-            initial_scores=scores.copy(),
-            shard_rows=16,
-            gates=PrecisionGates(min_ndcg=0.0, min_topk_overlap=0.0),
-            seed=7,
-            num_updates=6,
-        )
-        plan = tuner.run()
-        assert plan.store_dtype == "float32"
-        assert plan.uniform
-        assert plan.metrics["accepted"] is not None
-        assert len(plan.metrics["attempts"]) >= 1
-
-    def test_impossible_gates_revert_to_float64(self, workload):
-        graph, scores, _ = workload
-        tuner = PrecisionAutotuner(
-            graph,
-            CFG,
-            initial_scores=scores.copy(),
-            shard_rows=16,
-            gates=PrecisionGates(min_ndcg=1.1, min_topk_overlap=1.1),
-            seed=7,
-            num_updates=6,
-        )
-        plan = tuner.run()
-        assert plan.store_dtype == "float64"
-        assert not plan.demoted_shards()
-        assert plan.metrics["accepted"] is None
-
-    def test_autotuner_is_deterministic(self, workload):
-        graph, scores, _ = workload
-
-        def run():
-            return PrecisionAutotuner(
-                graph,
-                CFG,
-                initial_scores=scores.copy(),
-                shard_rows=16,
-                seed=13,
-                num_updates=6,
-            ).run()
-
-        assert run().to_dict() == run().to_dict()
 
 
 class TestServicePrecision:
@@ -326,17 +208,17 @@ class TestServicePrecision:
         graph, scores, _ = workload
         with pytest.raises(ConfigError):
             SimRankService(
-                graph, CFG, initial_scores=scores.copy(), precision="float16"
+                graph,
+                service_config(CFG, precision="float16"),
+                initial_scores=scores.copy(),
             )
 
     def test_float32_service_serves_and_reports(self, workload):
         graph, scores, updates = workload
         service = SimRankService(
             graph,
-            CFG,
+            service_config(CFG, shard_rows=16, precision="float32"),
             initial_scores=scores.copy(),
-            shard_rows=16,
-            precision="float32",
         )
         try:
             service.submit_many(list(updates[:4]))
@@ -347,69 +229,7 @@ class TestServicePrecision:
                 report["executor"]["score_dtype_bytes"]
                 == graph.num_nodes * graph.num_nodes * 4
             )
-            assert report["precision"]["mode"] == "float32"
+            assert report["precision"] == {"mode": "float32"}
             assert service.top_k(5)
-        finally:
-            service.close()
-
-    def test_auto_plan_restart_round_trip(self, workload, tmp_path):
-        graph, scores, _ = workload
-        service = SimRankService(
-            graph,
-            CFG,
-            initial_scores=scores.copy(),
-            shard_rows=16,
-            precision="auto",
-            precision_plan={
-                "gates": PrecisionGates(
-                    min_ndcg=0.0, min_topk_overlap=0.0
-                ).to_dict(),
-                "store_dtype": "float32",
-                "shard_dtypes": {},
-                "num_nodes": graph.num_nodes,
-                "shard_rows": 16,
-            },
-        )
-        try:
-            plan = service.precision_plan
-            assert plan is not None
-            path = tmp_path / "plan.json"
-            plan.save(path)
-            dtype_before = service.engine.score_store.dtype
-        finally:
-            service.close()
-        # Restart from the serialized plan: same dtype decision, no
-        # re-tuning run.
-        restarted = SimRankService(
-            graph,
-            CFG,
-            initial_scores=scores.copy(),
-            shard_rows=16,
-            precision="auto",
-            precision_plan=str(path),
-        )
-        try:
-            assert restarted.engine.score_store.dtype == dtype_before
-            assert restarted.precision_plan.to_dict() == plan.to_dict()
-        finally:
-            restarted.close()
-
-    def test_auto_runs_tuner_when_no_plan_given(self, workload):
-        graph, scores, _ = workload
-        service = SimRankService(
-            graph,
-            CFG,
-            initial_scores=scores.copy(),
-            shard_rows=16,
-            precision="auto",
-        )
-        try:
-            plan = service.precision_plan
-            assert plan is not None
-            assert plan.store_dtype in ("float32", "float64")
-            assert (
-                service.engine.score_store.dtype.name == plan.store_dtype
-                or not plan.uniform
-            )
         finally:
             service.close()

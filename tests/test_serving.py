@@ -22,6 +22,7 @@ from repro.simrank.matrix import matrix_simrank
 from repro.simrank.queries import single_source_simrank
 
 from _streams import random_update_stream as _random_stream
+from _streams import service_config
 
 
 class TestScheduler:
@@ -110,7 +111,7 @@ class TestSnapshotIsolation:
     def test_pinned_view_is_bit_identical_across_writer_stream(self):
         config = SimRankConfig(damping=0.6, iterations=12)
         graph = erdos_renyi_digraph(70, 0.05, seed=11)
-        service = SimRankService(graph, config, shard_rows=16)
+        service = SimRankService(graph, service_config(config, shard_rows=16))
         view = service.snapshot()
         frozen_scores = view.similarities()
         frozen_single_source = view.single_source(3)
@@ -136,7 +137,7 @@ class TestSnapshotIsolation:
     def test_views_pinned_at_different_versions_coexist(self):
         config = SimRankConfig(damping=0.6, iterations=10)
         graph = erdos_renyi_digraph(40, 0.07, seed=3)
-        service = SimRankService(graph, config, shard_rows=8)
+        service = SimRankService(graph, service_config(config, shard_rows=8))
         views = []
         expected = []
         for seed in range(4):
@@ -155,7 +156,7 @@ class TestSnapshotIsolation:
     def test_view_matches_engine_state_at_pin_time(self):
         config = SimRankConfig(damping=0.6, iterations=12)
         graph = erdos_renyi_digraph(30, 0.1, seed=9)
-        service = SimRankService(graph, config, shard_rows=8)
+        service = SimRankService(graph, service_config(config, shard_rows=8))
         before = service.engine.similarities()
         view = service.snapshot()
         service.submit_many(_random_stream(service.engine.graph, 25, seed=1))
@@ -167,7 +168,7 @@ class TestSnapshotIsolation:
     def test_single_source_served_from_frozen_q(self):
         config = SimRankConfig(damping=0.6, iterations=12)
         graph = erdos_renyi_digraph(35, 0.08, seed=13)
-        service = SimRankService(graph, config)
+        service = SimRankService(graph, service_config(config))
         frozen_q = service.engine.transition_matrix.copy()
         view = service.snapshot()
         service.submit_many(_random_stream(service.engine.graph, 30, seed=2))
@@ -191,7 +192,7 @@ class TestCoalescingEquivalence:
         for update in stream:
             unit_engine.apply(update)
 
-        service = SimRankService(graph, config, shard_rows=16)
+        service = SimRankService(graph, service_config(config, shard_rows=16))
         service.submit_many(stream)
         groups = service.drain()
         assert 0 < groups <= len(stream)
@@ -215,7 +216,7 @@ class TestService:
     def test_version_and_pending_accounting(self):
         config = SimRankConfig(damping=0.6, iterations=10)
         graph = erdos_renyi_digraph(20, 0.1, seed=7)
-        service = SimRankService(graph, config)
+        service = SimRankService(graph, service_config(config))
         assert service.version == 0
         assert service.drain() == 0  # empty drain is a no-op
         assert service.version == 0
@@ -229,7 +230,7 @@ class TestService:
     def test_failed_drain_requeues_pending_updates(self):
         config = SimRankConfig(damping=0.6, iterations=10)
         graph = erdos_renyi_digraph(20, 0.1, seed=7)
-        service = SimRankService(graph, config)
+        service = SimRankService(graph, service_config(config))
         existing = next(iter(graph.edges()))
         valid_target = next(
             t for t in range(20) if t != 5 and not graph.has_edge(5, t)
@@ -246,7 +247,7 @@ class TestService:
     def test_live_similarity_tracks_writer(self):
         config = SimRankConfig(damping=0.6, iterations=10)
         graph = erdos_renyi_digraph(20, 0.1, seed=8)
-        service = SimRankService(graph, config)
+        service = SimRankService(graph, service_config(config))
         view = service.snapshot()
         stream = _random_stream(graph, 12, seed=5)
         service.submit_many(stream)
@@ -258,7 +259,7 @@ class TestService:
     def test_add_node_through_service(self):
         config = SimRankConfig(damping=0.6, iterations=10)
         graph = erdos_renyi_digraph(12, 0.2, seed=2)
-        service = SimRankService(graph, config, shard_rows=4)
+        service = SimRankService(graph, service_config(config, shard_rows=4))
         view = service.snapshot()
         node = service.add_node()
         assert node == 12
@@ -271,7 +272,7 @@ class TestService:
     def test_memory_report_layers(self):
         config = SimRankConfig(damping=0.6, iterations=10)
         graph = erdos_renyi_digraph(20, 0.1, seed=6)
-        service = SimRankService(graph, config, shard_rows=8)
+        service = SimRankService(graph, service_config(config, shard_rows=8))
         service.snapshot()
         report = service.memory_report()
         for key in (
@@ -336,7 +337,7 @@ class TestApplyMetrics:
     def test_score_store_records_per_shard_seconds(self):
         config = SimRankConfig(damping=0.6, iterations=8)
         graph = erdos_renyi_digraph(60, 0.06, seed=8)
-        service = SimRankService(graph, config, shard_rows=16)
+        service = SimRankService(graph, service_config(config, shard_rows=16))
         service.submit_many(_random_stream(graph, 12, seed=9))
         service.drain()
         store = service.engine.score_store
@@ -352,7 +353,7 @@ class TestApplyMetrics:
     def test_metrics_report_exposes_executor_section(self):
         config = SimRankConfig(damping=0.6, iterations=8)
         graph = erdos_renyi_digraph(40, 0.08, seed=10)
-        service = SimRankService(graph, config, shard_rows=16)
+        service = SimRankService(graph, service_config(config, shard_rows=16))
         service.submit_many(_random_stream(graph, 6, seed=11))
         service.drain()
         executor = service.metrics_report()["executor"]

@@ -49,6 +49,8 @@ from repro.telemetry import (
     validate_scrape,
 )
 
+from _streams import service_config
+
 CFG = SimRankConfig(damping=0.6, iterations=7)
 
 
@@ -331,7 +333,9 @@ class TestServiceIntegration:
     def test_metrics_report_keys_unchanged_plus_telemetry(self, workload):
         graph, scores = workload
         service = SimRankService(
-            graph.copy(), CFG, initial_scores=scores.copy()
+            graph.copy(),
+            service_config(CFG),
+            initial_scores=scores.copy(),
         )
         try:
             service.submit(EdgeUpdate.insert(0, 7))
@@ -405,7 +409,9 @@ class TestServiceIntegration:
     def test_drain_span_lands_under_origin_trace(self, workload):
         graph, scores = workload
         service = SimRankService(
-            graph.copy(), CFG, initial_scores=scores.copy()
+            graph.copy(),
+            service_config(CFG),
+            initial_scores=scores.copy(),
         )
         try:
             service.note_origin_trace("origin-1")

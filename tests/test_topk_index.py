@@ -19,6 +19,7 @@ from repro.metrics.topk_tracker import TopKTracker
 from repro.serving import SimRankService
 
 from _streams import random_update_stream as _random_stream
+from _streams import service_config
 
 
 @pytest.fixture
@@ -82,7 +83,7 @@ class TestIncrementalProperty:
 
     def test_matches_brute_force_through_consolidated_drains(self, config):
         graph = erdos_renyi_digraph(50, 0.07, seed=17)
-        service = SimRankService(graph, config, shard_rows=8)
+        service = SimRankService(graph, service_config(config, shard_rows=8))
         assert service.top_k(10) == top_k_pairs(
             service.engine.similarities(), 10
         )
@@ -188,7 +189,7 @@ class TestShardTopKUnit:
 class TestSnapshotTopK:
     def test_snapshot_ranking_matches_dense(self, config):
         graph = erdos_renyi_digraph(40, 0.08, seed=3)
-        service = SimRankService(graph, config, shard_rows=16)
+        service = SimRankService(graph, service_config(config, shard_rows=16))
         view = service.snapshot()
         frozen = view.similarities()
         assert view.top_k(10) == top_k_pairs(frozen, 10)

@@ -29,6 +29,7 @@ from repro.simrank.exact import truncation_error_bound
 from repro.simrank.matrix import matrix_simrank
 
 from _streams import random_update_stream as _random_stream
+from _streams import service_config
 
 
 @pytest.fixture
@@ -39,7 +40,10 @@ def config():
 class TestLifecycle:
     def test_constructor_starts_and_close_stops(self, config):
         graph = erdos_renyi_digraph(20, 0.1, seed=1)
-        service = SimRankService(graph, config, writer="background")
+        service = SimRankService(
+            graph,
+            service_config(config, writer="background"),
+        )
         assert service.background
         assert service.writer.running
         assert service.snapshot() is not None
@@ -48,7 +52,8 @@ class TestLifecycle:
 
     def test_context_manager(self, config):
         graph = erdos_renyi_digraph(20, 0.1, seed=1)
-        with SimRankService(graph, config, writer="background") as service:
+        background = service_config(config, writer="background")
+        with SimRankService(graph, background) as service:
             service.submit_many(_random_stream(graph, 10, seed=2))
             assert service.flush(timeout=30)
             assert service.version >= 1
@@ -56,28 +61,35 @@ class TestLifecycle:
 
     def test_drain_is_writer_owned_in_background_mode(self, config):
         graph = erdos_renyi_digraph(15, 0.1, seed=3)
-        with SimRankService(graph, config, writer="background") as service:
+        background = service_config(config, writer="background")
+        with SimRankService(graph, background) as service:
             with pytest.raises(ConfigError):
                 service.drain()
 
     def test_unknown_modes_rejected(self, config):
         graph = erdos_renyi_digraph(10, 0.1, seed=3)
         with pytest.raises(ConfigError):
-            SimRankService(graph, config, writer="async")
+            SimRankService(graph, service_config(config, writer="async"))
         with pytest.raises(ConfigError):
             SimRankService(
-                graph, config, writer="background", backpressure="shed"
+                graph,
+                service_config(
+                    config,
+                    writer="background",
+                    backpressure="shed",
+                ),
             )
 
     def test_double_start_rejected(self, config):
         graph = erdos_renyi_digraph(10, 0.1, seed=3)
-        with SimRankService(graph, config, writer="background") as service:
+        background = service_config(config, writer="background")
+        with SimRankService(graph, background) as service:
             with pytest.raises(ConfigError):
                 service.start_background_writer()
 
     def test_writer_restarts_after_stop(self, config):
         graph = erdos_renyi_digraph(20, 0.1, seed=4)
-        service = SimRankService(graph, config)
+        service = SimRankService(graph, service_config(config))
         writer = BackgroundWriter(service.engine, service.scheduler)
         writer.start()
         writer.stop()
@@ -94,7 +106,8 @@ class TestLifecycle:
     def test_stop_drains_leftovers(self, config):
         graph = erdos_renyi_digraph(25, 0.1, seed=4)
         service = SimRankService(
-            graph, config, writer="background", drain_interval=5.0
+            graph,
+            service_config(config, writer="background", drain_interval=5.0),
         )
         # Long interval: nothing drains until stop() forces it.
         service.submit_many(_random_stream(graph, 12, seed=5))
@@ -110,10 +123,12 @@ class TestThreadedStress:
         stream = _random_stream(graph, 220, seed=12)
         service = SimRankService(
             graph,
-            config,
-            shard_rows=16,
-            writer="background",
-            drain_interval=0.001,
+            service_config(
+                config,
+                shard_rows=16,
+                writer="background",
+                drain_interval=0.001,
+            ),
         )
         errors = []
         stop = threading.Event()
@@ -176,10 +191,12 @@ class TestThreadedStress:
         config = SimRankConfig(damping=0.6, iterations=25)
         with SimRankService(
             graph,
-            config,
-            shard_rows=8,
-            writer="background",
-            drain_interval=0.001,
+            service_config(
+                config,
+                shard_rows=8,
+                writer="background",
+                drain_interval=0.001,
+            ),
         ) as service:
             for begin in range(0, len(stream), 10):
                 service.submit_many(stream[begin : begin + 10])
@@ -197,11 +214,13 @@ class TestBackpressure:
         graph = erdos_renyi_digraph(30, 0.05, seed=31)
         service = SimRankService(
             graph,
-            config,
-            writer="background",
-            drain_interval=60.0,  # effectively: nothing drains on its own
-            max_pending=5,
-            backpressure="error",
+            service_config(
+                config,
+                writer="background",
+                drain_interval=60.0,  # nothing drains on its own
+                max_pending=5,
+                backpressure="error",
+            ),
         )
         try:
             stream = _random_stream(graph, 10, seed=32)
@@ -217,11 +236,13 @@ class TestBackpressure:
         graph = erdos_renyi_digraph(30, 0.05, seed=41)
         service = SimRankService(
             graph,
-            config,
-            writer="background",
-            drain_interval=60.0,
-            max_pending=3,
-            backpressure="drop-coalesce",
+            service_config(
+                config,
+                writer="background",
+                drain_interval=60.0,
+                max_pending=3,
+                backpressure="drop-coalesce",
+            ),
         )
         try:
             writer = service.writer
@@ -243,11 +264,13 @@ class TestBackpressure:
         graph = erdos_renyi_digraph(40, 0.06, seed=51)
         service = SimRankService(
             graph,
-            config,
-            writer="background",
-            drain_interval=0.001,
-            max_pending=4,
-            backpressure="block",
+            service_config(
+                config,
+                writer="background",
+                drain_interval=0.001,
+                max_pending=4,
+                backpressure="block",
+            ),
         )
         try:
             stream = _random_stream(graph, 40, seed=52)
@@ -266,7 +289,8 @@ class TestErrorHandling:
     def test_poison_batch_pauses_and_requeues(self, config):
         graph = erdos_renyi_digraph(20, 0.1, seed=61)
         service = SimRankService(
-            graph, config, writer="background", drain_interval=0.001
+            graph,
+            service_config(config, writer="background", drain_interval=0.001),
         )
         try:
             existing = next(iter(graph.edges()))
@@ -292,7 +316,10 @@ class TestErrorHandling:
 
     def test_submit_after_stop_rejected(self, config):
         graph = erdos_renyi_digraph(15, 0.1, seed=71)
-        service = SimRankService(graph, config, writer="background")
+        service = SimRankService(
+            graph,
+            service_config(config, writer="background"),
+        )
         writer = service.writer
         service.close()
         with pytest.raises(ConfigError):
@@ -302,7 +329,7 @@ class TestErrorHandling:
 class TestWriterUnit:
     def test_invalid_parameters(self, config):
         graph = erdos_renyi_digraph(10, 0.1, seed=81)
-        service = SimRankService(graph, config)
+        service = SimRankService(graph, service_config(config))
         with pytest.raises(ConfigError):
             BackgroundWriter(
                 service.engine, service.scheduler, policy="backoff"
@@ -318,7 +345,8 @@ class TestWriterUnit:
 
     def test_report_shape(self, config):
         graph = erdos_renyi_digraph(15, 0.1, seed=91)
-        with SimRankService(graph, config, writer="background") as service:
+        background = service_config(config, writer="background")
+        with SimRankService(graph, background) as service:
             service.submit_many(_random_stream(graph, 8, seed=92))
             assert service.flush(timeout=30)
             report = service.writer.report()
@@ -339,7 +367,8 @@ class TestWriterUnit:
     def test_add_node_republishes(self, config):
         graph = erdos_renyi_digraph(12, 0.15, seed=93)
         with SimRankService(
-            graph, config, shard_rows=4, writer="background"
+            graph,
+            service_config(config, shard_rows=4, writer="background"),
         ) as service:
             before = service.snapshot()
             node = service.add_node()
