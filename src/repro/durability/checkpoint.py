@@ -5,8 +5,8 @@ score shards exactly as the :class:`~repro.executor.score_store.ScoreStore`
 holds them (in the store's one storage dtype, recorded as
 ``score_dtype`` in ``meta.json``, so a float32 store is saved as
 float32 and restores bit-identically) plus the packed
-:class:`~repro.linalg.qstore.TransitionSnapshot` payload, from which
-both ``Q`` *and* the graph are rebuilt (row ``i`` of the backward CSR
+:meth:`~repro.linalg.qstore.TransitionStore.export_packed` arrays of
+``Q``, from which both ``Q`` *and* the graph are rebuilt (row ``i`` of the backward CSR
 lists ``i``'s in-neighbors; ``TransitionStore.from_graph`` is
 deterministic, so the rebuilt ``Q`` is bit-identical too).
 
@@ -18,14 +18,8 @@ byte offset leaves either the old manifest (pointing at complete
 checkpoints) or the new one — never a half-written checkpoint that a
 restart could load.
 
-The optional ``history.npz`` is the git_theta idea applied to the
-drain stream: every plan since the previous checkpoint contributes
-factor pairs ``ξ·ηᵀ + η·ξᵀ``; stacked over the drains they form a
-low-rank panel pair whose product is the whole inter-checkpoint score
-delta.  QR-compress both panels, SVD the small core, truncate at a
-rank/threshold, and the accumulated history survives as one compact
-``R @ C`` pair per checkpoint — an audit trail (and a future
-delta-shipping payload) that costs far less than the raw log.
+Loading reads ``meta.json``, ``scores.npz`` and ``transitions.npz``
+only; any other file in a checkpoint directory is ignored.
 """
 
 from __future__ import annotations
@@ -48,7 +42,6 @@ __all__ = [
     "list_checkpoints",
     "load_checkpoint",
     "read_manifest",
-    "summarize_history",
     "write_checkpoint",
     "write_manifest",
 ]
@@ -161,8 +154,6 @@ class CheckpointData:
     shards: List[np.ndarray] = field(default_factory=list)
     #: ``TransitionStore.export_packed()`` payload.
     packed_q: Dict[str, np.ndarray] = field(default_factory=dict)
-    #: Optional SVD-truncated factor history (``history.npz`` payload).
-    history: Optional[dict] = None
 
 
 def write_checkpoint(
@@ -173,7 +164,6 @@ def write_checkpoint(
     transition_store,
     damping: float,
     iterations: int,
-    history: Optional[dict] = None,
 ) -> str:
     """Write and atomically publish one checkpoint; returns its path.
 
@@ -198,12 +188,6 @@ def write_checkpoint(
         {key: np.asarray(value) for key, value in packed.items()},
     )
 
-    if history is not None:
-        _savez(
-            os.path.join(tmp, "history.npz"),
-            {key: np.asarray(value) for key, value in history.items()},
-        )
-
     meta = {
         "version": int(version),
         "num_nodes": int(score_store.num_nodes),
@@ -211,7 +195,6 @@ def write_checkpoint(
         "score_dtype": score_store.dtype.name,
         "damping": float(damping),
         "iterations": int(iterations),
-        "has_history": history is not None,
         "created_at": time.time(),
     }
     meta_path = os.path.join(tmp, "meta.json")
@@ -294,18 +277,12 @@ def load_checkpoint(path: str) -> CheckpointData:
         raise CorruptLogError(
             f"unreadable checkpoint arrays in {path}: {exc}", path=path
         ) from None
-    history = None
-    history_path = os.path.join(path, "history.npz")
-    if meta.get("has_history") and os.path.exists(history_path):
-        with np.load(history_path) as archive:
-            history = {name: archive[name] for name in archive.files}
     return CheckpointData(
         version=int(meta["version"]),
         meta=meta,
         score_dtype=_score_dtype(meta, path),
         shards=shards,
         packed_q=packed_q,
-        history=history,
     )
 
 
@@ -326,76 +303,3 @@ def graph_from_packed(packed_q: Dict[str, np.ndarray]) -> DynamicDiGraph:
         for source in indices[indptr[target] : indptr[target + 1]]:
             graph.add_edge(int(source), target)
     return graph
-
-
-# ------------------------------------------------------------------ #
-# Factor-history summarization (git_theta-style)
-# ------------------------------------------------------------------ #
-
-
-def summarize_history(
-    packed_batches,
-    num_nodes: int,
-    *,
-    max_rank: int = 32,
-    threshold: float = 1e-11,
-) -> Optional[dict]:
-    """SVD-truncate the factor pairs of a checkpoint interval.
-
-    ``packed_batches`` is the interval's drains as
-    :class:`~repro.incremental.plan.PackedPlanBatch` objects.  Each
-    plan contributes ``ξ·ηᵀ + η·ξᵀ`` per factor pair, so the summed
-    score delta restricted to the union support ``U`` factors exactly
-    as ``L @ Rᵀ`` with ``2R`` columns.  Both panels are QR-compressed,
-    the small ``2R×2R`` core is SVD'd, and singular values below
-    ``threshold`` (relative to the largest) — or beyond ``max_rank`` —
-    are dropped.  Returns the ``history.npz`` payload, or None when
-    the interval carried no factors.
-    """
-    supports: List[np.ndarray] = []
-    pairs: List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
-    for packed in packed_batches:
-        for plan in packed.plans():
-            for (l_idx, l_val), (r_idx, r_val) in zip(
-                plan.left_factors, plan.right_factors
-            ):
-                if l_idx.size == 0 or r_idx.size == 0:
-                    continue
-                supports.append(l_idx)
-                supports.append(r_idx)
-                pairs.append((l_idx, l_val, r_idx, r_val))
-    if not pairs:
-        return None
-    union = np.unique(np.concatenate(supports))
-    position = np.full(num_nodes, -1, dtype=np.int64)
-    position[union] = np.arange(union.size)
-    rank = len(pairs)
-    left_panel = np.zeros((union.size, 2 * rank), dtype=np.float64)
-    right_panel = np.zeros((union.size, 2 * rank), dtype=np.float64)
-    for k, (l_idx, l_val, r_idx, r_val) in enumerate(pairs):
-        rows = position[l_idx]
-        cols = position[r_idx]
-        # ξ·ηᵀ ...
-        left_panel[rows, k] = l_val
-        right_panel[cols, k] = r_val
-        # ... plus its transpose η·ξᵀ.
-        left_panel[cols, rank + k] = r_val
-        right_panel[rows, rank + k] = l_val
-    lq, lr = np.linalg.qr(left_panel)
-    rq, rr = np.linalg.qr(right_panel)
-    u, s, vh = np.linalg.svd(lr @ rr.T)
-    if s.size and s[0] > 0:
-        keep = int(np.count_nonzero(s > threshold * s[0]))
-    else:
-        keep = 0
-    keep = max(1, min(int(max_rank), keep if keep else 1))
-    left = lq @ (u[:, :keep] * s[:keep])
-    right = vh[:keep] @ rq.T
-    return {
-        "support": union,
-        "left": left,
-        "right": right,
-        "rank": np.int64(keep),
-        "raw_rank": np.int64(2 * rank),
-        "threshold": np.float64(threshold),
-    }

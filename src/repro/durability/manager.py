@@ -6,8 +6,7 @@ One :class:`DurabilityManager` owns one data directory::
       wal.lock                  # pid of the single live writer
       MANIFEST                  # atomic pointer to retained checkpoints
       wal/wal-<seq>-v<start>.log
-      checkpoints/ckpt-<version>/{meta.json, scores.npz,
-                                  transitions.npz[, history.npz]}
+      checkpoints/ckpt-<version>/{meta.json, scores.npz, transitions.npz}
 
 Lifecycle (driven by :class:`~repro.serving.service.SimRankService`):
 
@@ -45,13 +44,11 @@ from ..exceptions import ConfigError, HistoryUnavailableError
 from ..executor.score_store import ScoreStore
 from ..graph import DynamicDiGraph
 from ..incremental.plan import PlanBatch
-from ..linalg.qstore import TransitionStore
 from .checkpoint import (
     checkpoint_path,
     graph_from_packed,
     load_checkpoint,
     read_manifest,
-    summarize_history,
     write_checkpoint,
     write_manifest,
 )
@@ -287,11 +284,6 @@ class DurabilityManager:
         if self._closed:
             return False
         version = int(engine.version)
-        history = None
-        if self.config.svd_history:
-            history = self._summarize_interval(
-                version, int(engine.score_store.num_nodes)
-            )
         try:
             with self._mutex:
                 write_checkpoint(
@@ -301,7 +293,6 @@ class DurabilityManager:
                     transition_store=engine.transition_store,
                     damping=self._damping or engine.config.damping,
                     iterations=self._iterations or engine.config.iterations,
-                    history=history,
                 )
                 retained = [v for v in self._retained if v != version]
                 retained.append(version)
@@ -327,34 +318,6 @@ class DurabilityManager:
         self._c_checkpoints.inc()
         self._set_flight_context()
         return True
-
-    def _summarize_interval(
-        self, version: int, num_nodes: int
-    ) -> Optional[dict]:
-        since = (
-            self._last_checkpoint_version
-            if self._last_checkpoint_version is not None
-            else -1
-        )
-        try:
-            batches = [
-                frame.packed
-                for frame in self._wal.frames(
-                    after_version=since, through_version=version
-                )
-                if frame.kind == KIND_BATCH and frame.packed is not None
-            ]
-            if not batches:
-                return None
-            return summarize_history(
-                batches,
-                num_nodes,
-                max_rank=self.config.svd_max_rank,
-                threshold=self.config.svd_threshold,
-            )
-        except Exception as exc:  # noqa: BLE001 - history is optional
-            self._record_error("history", exc)
-            return None
 
     def _remove_checkpoint(self, version: int) -> None:
         from .checkpoint import _remove_tree
@@ -401,7 +364,6 @@ class DurabilityManager:
             state = self._materialize(target_version=version)
         view = SnapshotView(
             scores=state.store.snapshot(),
-            transitions=TransitionStore.from_graph(state.graph).snapshot(),
             config=config,
             version=state.version,
         )

@@ -7,9 +7,9 @@ worthwhile:
 * :mod:`repro.frontdoor.admission` — **batched query admission**:
   a ``similarity``/``single_source`` query dispatches as soon as no
   batch is in flight, and the queries that queue behind an in-flight
-  batch execute together as one snapshot-pinned vectorized pass
-  (stacked walk matrices, per-shard score gathers), bit-identical per
-  query to unbatched execution.
+  batch execute together against one pinned snapshot (per-shard score
+  gathers and row reads of the frozen ``S``), bit-identical per query
+  to unbatched execution.
 * :mod:`repro.frontdoor.sessions` — **pinned-snapshot sessions**: a
   client pins one :class:`~repro.serving.snapshot.SnapshotView` under
   a TTL'd id and reads a bit-stable version across any number of

@@ -1,4 +1,4 @@
-"""Batched query admission: one snapshot, one BLAS pass, many answers.
+"""Batched query admission: one pinned snapshot, many answers.
 
 Under concurrent load the front door does not execute similarity and
 single-source queries one at a time.  Admission is **work-conserving**:
@@ -7,24 +7,19 @@ event-loop turn (every query parsed in the same turn rides along), and
 queries that arrive while a batch executes queue up and dispatch
 together the moment it settles.  Batches form exactly when there is
 load to batch, with no timer to tune; a batch that reaches the size cap
-dispatches at once.  Each batch pins **one** snapshot view and executes
-as one vectorized pass:
+dispatches at once.  Each batch pins **one** snapshot view and reads
+every answer from its frozen score shards:
 
-* ``similarity`` — the requested ``(a, b)`` pairs are gathered from
-  the frozen score shards with one fancy-indexing read per touched
-  shard instead of one Python-level ``entry()`` call per query;
-* ``single_source`` — the walk stacks of all requested sources are
-  computed **stacked**: the unit vectors become the columns of one
-  ``(n, b)`` matrix and the per-step sparse products ``QᵀX`` / ``QX``
-  run as single sparse×dense-matrix calls.
+* ``similarity`` — the requested ``(a, b)`` pairs are gathered with
+  one fancy-indexing read per touched shard instead of one
+  Python-level ``entry()`` call per query;
+* ``single_source`` — each requested source is its frozen row
+  ``[S]_{a,:}``.
 
-The stacked path is **bit-identical per column** to the sequential
-one: scipy's CSR/CSC sparse×matrix kernels accumulate every output
-column in the same sequential nonzero order as their matrix×vector
-kernels, and the dense Horner combination ``t + C·(Q·R)`` is
-elementwise.  The equivalence is asserted by the test suite and spot
-checked by the benchmark, so batching is a pure latency/throughput
-optimization — answers never change by admission accident.
+Both are pure reads of the same frozen entries the per-query
+:class:`~repro.serving.snapshot.SnapshotView` methods read, so batched
+answers are bit-identical to solo ones — answers never change by
+admission accident.
 
 Demultiplexing tags each :class:`QueryResult` with ``batched=True``
 and the batch size, so the wire exposes how much coalescing the load
@@ -41,7 +36,6 @@ import numpy as np
 
 from ..exceptions import NodeNotFoundError
 from ..serving.envelopes import QueryRequest, QueryResult
-from ..simrank.queries import single_source_simrank
 from ..telemetry import NULL_TELEMETRY, GaugeGroup
 
 
@@ -63,36 +57,19 @@ def batched_similarity(view, pairs: Sequence[tuple]) -> List[float]:
 
 
 def batched_single_source(view, nodes: Sequence[int]) -> np.ndarray:
-    """Single-source scores for many sources in one stacked pass.
+    """Frozen rows ``[S]_{node,:}`` for many sources, one column each.
 
     Returns an ``(n, len(nodes))`` matrix whose column ``j`` is
-    bit-identical to ``view.single_source(nodes[j])`` — the stacked
-    sparse products accumulate each column in the same order as the
-    vector path (see the module docstring).  Duplicate sources are
-    fine (each gets its own column).
+    bit-identical to ``view.single_source(nodes[j])`` (the same frozen
+    row, in the store's dtype).  Duplicate sources are fine (each gets
+    its own column).
     """
-    transitions = view.transitions
-    config = view.config
-    n = transitions.shape[0]
+    n = view.num_nodes
     for node in nodes:
         if not (0 <= node < n):
             raise NodeNotFoundError(node)
-    if len(nodes) == 1:
-        # Single column: the vector path *is* the batched path.
-        return single_source_simrank(
-            transitions, nodes[0], config
-        ).reshape(n, 1)
-    stacked = np.zeros((n, len(nodes)))
-    for column, node in enumerate(nodes):
-        stacked[node, column] = 1.0
-    walk_stack = [stacked]
-    for _ in range(config.iterations):
-        stacked = transitions.rmatvec(stacked)
-        walk_stack.append(stacked)
-    result = walk_stack[-1].copy()
-    for t_matrix in reversed(walk_stack[:-1]):
-        result = t_matrix + config.damping * (transitions @ result)
-    return (1.0 - config.damping) * result
+    scores = view.scores
+    return np.column_stack([scores.row(node) for node in nodes])
 
 
 def execute_batch(view, requests: Sequence[QueryRequest]) -> List[QueryResult]:
@@ -166,7 +143,7 @@ class AdmissionBatcher:
     (successfully or not) and then flush as one batch; a full batch
     flushes immediately.  The flush executes the whole batch against
     one freshly pinned snapshot **in the executor thread pool** so the
-    event loop keeps admitting during the BLAS pass.
+    event loop keeps admitting while it runs.
     """
 
     def __init__(

@@ -412,8 +412,26 @@ async def ws_connect(
     port: int,
     path: str,
 ) -> Tuple[asyncio.StreamReader, asyncio.StreamWriter]:
-    """Open a client WebSocket: TCP connect + RFC 6455 handshake."""
+    """Open a client WebSocket: TCP connect + RFC 6455 handshake.
+
+    A failed handshake closes the socket before the error propagates.
+    """
     reader, writer = await asyncio.open_connection(host, port)
+    try:
+        await _ws_handshake(reader, writer, host, port, path)
+    except BaseException:
+        writer.close()
+        raise
+    return reader, writer
+
+
+async def _ws_handshake(
+    reader: asyncio.StreamReader,
+    writer: asyncio.StreamWriter,
+    host: str,
+    port: int,
+    path: str,
+) -> None:
     key = base64.b64encode(os.urandom(16)).decode("latin-1")
     writer.write(
         (
@@ -442,7 +460,6 @@ async def ws_connect(
             accept = value.strip()
     if accept != websocket_accept(key):
         raise ProtocolError("websocket handshake key mismatch")
-    return reader, writer
 
 
 async def ws_recv_json(reader: asyncio.StreamReader) -> Optional[object]:

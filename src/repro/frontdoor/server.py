@@ -6,9 +6,10 @@ One asyncio server, one listening socket, two protocols:
 ``GET /health``             liveness + version + durability state
 ``GET /metrics``            service metrics + front-door gauges
 ``POST /query``             one :class:`QueryRequest` (JSON); batched
-                            admission for ``similarity`` /
-                            ``single_source``, shard-heap path for
-                            ``top_k``, pinned-session routing via the
+                            admission (reads of the pinned ``S``) for
+                            ``similarity`` / ``single_source``,
+                            shard-heap path for ``top_k``,
+                            pinned-session routing via the
                             envelope's ``session`` field
 ``POST /session``           pin the current snapshot; returns the id
 ``GET /session/<id>``       session metadata (refreshes the TTL)

@@ -407,7 +407,7 @@ class TransitionStore:
         self._csr_cache: Optional[sp.csr_matrix] = None
         self._csc_cache: Optional[sp.csc_matrix] = None
         #: Monotone counter bumped by every mutation; lets callers that
-        #: hold derived state (caches, snapshots) detect staleness.
+        #: hold derived state (caches, checkpoints) detect staleness.
         self.version = 0
 
     # -------------------------------------------------------------- #
@@ -735,17 +735,6 @@ class TransitionStore:
             "version": self.version,
         }
 
-    def snapshot(self) -> "TransitionSnapshot":
-        """Freeze the current ``Q`` as a :class:`TransitionSnapshot`.
-
-        Effectively zero-copy between mutations: the snapshot wraps the
-        lazily packed CSR view, which the store *abandons* (rather than
-        rewrites) on its next mutation, so the snapshot stays frozen at
-        this version forever while consecutive snapshots between
-        mutations share one packed matrix.
-        """
-        return TransitionSnapshot(self.csr_matrix(), self.version)
-
     # -------------------------------------------------------------- #
     # Accounting
     # -------------------------------------------------------------- #
@@ -768,76 +757,3 @@ class TransitionStore:
             f"slack_bytes={self.slack_bytes()})"
         )
 
-
-class TransitionSnapshot:
-    """An immutable ``Q`` frozen at one :class:`TransitionStore` version.
-
-    Wraps the packed scipy CSR view current at snapshot time (the store
-    never mutates a packed view — it rebuilds a fresh one after
-    surgery) plus a lazily derived transpose, and exposes the read API
-    the query layer needs (``matvec``, ``rmatvec``, ``@``).  Used by the
-    serving layer so readers can answer single-source/single-pair
-    queries at a pinned version while the writer keeps mutating the
-    live store.
-    """
-
-    __slots__ = ("_csr", "_csr_t", "version")
-
-    def __init__(self, csr: sp.csr_matrix, version: int) -> None:
-        self._csr = csr
-        self._csr_t = None
-        self.version = int(version)
-
-    # Explicit state keeps the lazily derived transpose view out of the
-    # pickle (it is rebuilt on demand after a round trip).
-    def __getstate__(self) -> Tuple[sp.csr_matrix, int]:
-        return (self._csr, self.version)
-
-    def __setstate__(self, state: Tuple[sp.csr_matrix, int]) -> None:
-        self._csr, self.version = state
-        self._csr_t = None
-
-    @property
-    def shape(self) -> Tuple[int, int]:
-        return self._csr.shape
-
-    @property
-    def nnz(self) -> int:
-        return int(self._csr.nnz)
-
-    def csr_matrix(self) -> sp.csr_matrix:
-        """The frozen packed CSR view (treat as read-only)."""
-        return self._csr
-
-    def matvec(self, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Dense ``Q @ x`` at the frozen version."""
-        result = self._csr @ x
-        if out is not None:
-            np.copyto(out, result)
-            return out
-        return result
-
-    def rmatvec(self, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Dense ``Qᵀ @ x`` via an O(1) transpose view (no conversion)."""
-        if self._csr_t is None:
-            self._csr_t = self._csr.T
-        result = self._csr_t @ x
-        if out is not None:
-            np.copyto(out, result)
-            return out
-        return result
-
-    def __matmul__(self, x):
-        return self._csr @ x
-
-    def nbytes(self) -> int:
-        """Bytes pinned by the frozen CSR arrays."""
-        return (
-            self._csr.data.nbytes
-            + self._csr.indices.nbytes
-            + self._csr.indptr.nbytes
-        )
-
-    def __repr__(self) -> str:
-        n = self._csr.shape[0]
-        return f"TransitionSnapshot(n={n}, nnz={self.nnz}, version={self.version})"

@@ -4,10 +4,10 @@ The ROADMAP's north star is serving heavy query traffic while links
 evolve.  This package puts the read/write split on top of the engine:
 
 * :mod:`repro.serving.snapshot` — :class:`SnapshotView`, a reader's pin
-  on one frozen ``(S, Q)`` version.  Served from the score store's
-  copy-on-write shards and the transition store's abandoned packed
-  views, so pinning is O(#shards) and a pinned view is bit-stable no
-  matter what the writer does.
+  on one frozen ``S`` version, the one source of every query answer.
+  Served from the score store's copy-on-write shards, so pinning is
+  O(#shards) and a pinned view is bit-stable no matter what the writer
+  does.
 * :mod:`repro.serving.scheduler` — :class:`UpdateScheduler`, the
   write-side queue.  Drains coalesce same-target edge updates into
   composite row groups (and cancel inverse pairs outright), feeding the

@@ -230,12 +230,6 @@ class DurabilityConfig:
     retain_checkpoints:
         Checkpoints (and the WAL segments bridging them) kept for
         time-travel reads; older versions are pruned.
-    svd_history:
-        Write a git_theta-style SVD-truncated summary of each
-        checkpoint interval's factor history (``history.npz``).
-    svd_max_rank, svd_threshold:
-        Truncation knobs for that summary: hard rank cap, and the
-        relative singular-value floor below which components drop.
     """
 
     data_dir: str = ""
@@ -244,9 +238,6 @@ class DurabilityConfig:
     checkpoint_interval: int = 64
     rotate_bytes: int = 4 * 1024 * 1024
     retain_checkpoints: int = 2
-    svd_history: bool = False
-    svd_max_rank: int = 32
-    svd_threshold: float = 1e-11
 
     def __post_init__(self) -> None:
         _require(
@@ -276,18 +267,6 @@ class DurabilityConfig:
             int(self.retain_checkpoints) >= 1,
             f"retain_checkpoints must be >= 1: "
             f"{self.retain_checkpoints!r}",
-        )
-        _require(
-            isinstance(self.svd_history, bool),
-            f"svd_history must be a bool: {self.svd_history!r}",
-        )
-        _require(
-            int(self.svd_max_rank) >= 1,
-            f"svd_max_rank must be >= 1: {self.svd_max_rank!r}",
-        )
-        _require(
-            0 < float(self.svd_threshold) < 1,
-            f"svd_threshold must be in (0, 1): {self.svd_threshold!r}",
         )
 
     def to_dict(self) -> dict:

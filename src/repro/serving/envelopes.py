@@ -39,9 +39,9 @@ from ..exceptions import (
     SessionNotFoundError,
 )
 
-#: Legal query kinds.  ``similarity`` reads one precomputed score from
-#: the pinned ``S`` shards; ``single_pair``/``single_source`` evaluate
-#: the series form against the pinned ``Q``; ``top_k`` ranks pairs.
+#: Legal query kinds.  Every kind reads the pinned ``S`` shards:
+#: ``similarity``/``single_pair`` one score, ``single_source`` one row,
+#: ``top_k`` the best-ranked pairs.
 QUERY_KINDS = ("similarity", "single_pair", "single_source", "top_k")
 
 #: Which envelope fields each kind requires.

@@ -479,14 +479,13 @@ class SimRankService:
 
         Background mode returns the writer's latest *published* view —
         one attribute read, so readers never block on an in-flight
-        drain.  Sync mode pins the live stores directly.
+        drain.  Sync mode pins the live score store directly.
         """
         self._ensure_open()
         if self._writer is not None:
             return self._writer.current_view
         return SnapshotView(
             scores=self._engine.score_store.snapshot(),
-            transitions=self._engine.transition_store.snapshot(),
             config=self._engine.config,
             version=self._engine.version,
         )
@@ -553,10 +552,10 @@ class SimRankService:
         """Run one typed :class:`QueryRequest` and wrap the answer.
 
         The in-process twin of the front door's ``POST /query``: the
-        same envelope in, the same envelope out, the same arithmetic
+        same envelope in, the same envelope out, the same reads
         (``similarity``/``single_pair``/``single_source`` read a pinned
-        snapshot; ``top_k`` rides the shard-heap path under the apply
-        lock).  Accepts a raw wire dict as a convenience.
+        snapshot's ``S``; ``top_k`` rides the shard-heap path under the
+        apply lock).  Accepts a raw wire dict as a convenience.
         """
         if isinstance(request, dict):
             request = QueryRequest.from_dict(request)

@@ -1,12 +1,13 @@
-"""Reader-side pins: :class:`SnapshotView` at one frozen version.
+"""Reader-side pins: :class:`SnapshotView` over one frozen ``S``.
 
-A view bundles a copy-on-write
-:class:`~repro.executor.score_store.ScoreSnapshot` of ``S`` with a
-frozen :class:`~repro.linalg.qstore.TransitionSnapshot` of ``Q`` and
-serves the full read API at that version: point lookups, full-matrix
-export, top-k ranking, and the single-source / single-pair walk queries
-(computed against the frozen ``Q``, so a pinned reader's answers never
-shift under concurrent writes).
+A view wraps a copy-on-write
+:class:`~repro.executor.score_store.ScoreSnapshot` of the score matrix
+and serves every read at that version from it: point lookups, whole
+rows (``single_source``), full-matrix export and top-k ranking.  The
+incremental engine maintains ``S`` under link updates (Theorems 3–4 of
+the paper), so every query is a lookup into the one frozen ``S`` —
+there is no second read source, and ``similarity(a, b)`` equals
+``single_source(a)[b]`` bit for bit.
 
 Pinning is cheap — O(#shards) bookkeeping, no score copying — and the
 bit-stability guarantee is structural: the writer clones any shard it
@@ -21,22 +22,20 @@ from typing import List, Tuple
 import numpy as np
 
 from ..config import SimRankConfig
+from ..exceptions import NodeNotFoundError
 from ..executor.score_store import ScoreSnapshot
-from ..linalg.qstore import TransitionSnapshot
 
 
 class SnapshotView:
-    """All reads of one frozen ``(S, Q)`` version."""
+    """All reads of one frozen ``S`` version."""
 
     def __init__(
         self,
         scores: ScoreSnapshot,
-        transitions: TransitionSnapshot,
         config: SimRankConfig,
         version: int,
     ) -> None:
         self._scores = scores
-        self._transitions = transitions
         self._config = config
         self._version = int(version)
 
@@ -62,17 +61,14 @@ class SnapshotView:
         """The underlying frozen score shards."""
         return self._scores
 
-    @property
-    def transitions(self) -> TransitionSnapshot:
-        """The underlying frozen transition matrix."""
-        return self._transitions
-
     # -------------------------------------------------------------- #
     # Score reads (frozen S)
     # -------------------------------------------------------------- #
 
     def similarity(self, node_a: int, node_b: int) -> float:
         """The frozen SimRank score of one node pair."""
+        self._require_node(node_a)
+        self._require_node(node_b)
         return self._scores.entry(node_a, node_b)
 
     def similarities(self) -> np.ndarray:
@@ -82,6 +78,19 @@ class SnapshotView:
     def similarity_row(self, node: int) -> np.ndarray:
         """Frozen row ``[S]_{node,:}`` (a copy)."""
         return self._scores.row(node)
+
+    def single_source(self, node: int) -> np.ndarray:
+        """Scores of ``node`` against every node: frozen row ``[S]_{node,:}``.
+
+        A copy in the store's dtype, like :meth:`similarity_row`, but
+        an out-of-range ``node`` raises :class:`NodeNotFoundError`.
+        """
+        self._require_node(node)
+        return self._scores.row(node)
+
+    def single_pair(self, node_a: int, node_b: int) -> float:
+        """The frozen score of one pair: :meth:`similarity`."""
+        return self.similarity(node_a, node_b)
 
     def top_k(self, k: int, include_self: bool = False) -> List[Tuple[int, int, float]]:
         """Top-``k`` most similar node pairs at the frozen version.
@@ -97,37 +106,17 @@ class SnapshotView:
             self._scores.iter_blocks(), k, include_self=include_self
         )
 
-    # -------------------------------------------------------------- #
-    # Walk queries (frozen Q)
-    # -------------------------------------------------------------- #
-
-    def single_source(self, node: int) -> np.ndarray:
-        """Series-form single-source scores against the frozen ``Q``."""
-        from ..simrank.queries import single_source_simrank
-
-        return single_source_simrank(self._transitions, node, self._config)
-
-    def single_pair(self, node_a: int, node_b: int) -> float:
-        """Series-form single-pair score against the frozen ``Q``."""
-        from ..simrank.queries import single_pair_simrank
-
-        return single_pair_simrank(
-            self._transitions, node_a, node_b, self._config
-        )
-
-    def top_k_similar(self, node: int, k: int) -> List[Tuple[int, float]]:
-        """The ``k`` nodes most similar to ``node`` at the frozen version."""
-        from ..simrank.queries import top_k_similar_nodes
-
-        return top_k_similar_nodes(self._transitions, node, k, self._config)
+    def _require_node(self, node: int) -> None:
+        if not (0 <= node < self._scores.num_nodes):
+            raise NodeNotFoundError(node)
 
     # -------------------------------------------------------------- #
     # Accounting
     # -------------------------------------------------------------- #
 
     def nbytes(self) -> int:
-        """Bytes pinned by this view (score shards + frozen Q arrays)."""
-        return self._scores.nbytes() + self._transitions.nbytes()
+        """Bytes pinned by this view (the frozen score shards)."""
+        return self._scores.nbytes()
 
     def __repr__(self) -> str:
         return (

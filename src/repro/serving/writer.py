@@ -489,7 +489,6 @@ class BackgroundWriter:
         """
         view = SnapshotView(
             scores=self._engine.score_store.snapshot(),
-            transitions=self._engine.transition_store.snapshot(),
             config=self._engine.config,
             version=self._engine.version,
         )

@@ -11,6 +11,10 @@ needs only the iterated vectors ``(Qᵀ)^k e_a`` — the weighted symmetric
 in-link path interpretation of Corollary 1.  A single-source query is
 ``K`` sparse mat-vecs plus ``K`` dense mat-vecs: ``O(K·(m + n·d))``
 versus ``O(K·n²·d)`` for the full matrix.
+
+These are the library/paper API and the independent oracle for the
+serving layer, whose views answer from the materialized ``S`` instead
+(see :mod:`repro.serving.snapshot`).
 """
 
 from __future__ import annotations
@@ -25,12 +29,11 @@ from .base import default_config, resolve_q
 
 
 def _resolve_operator(graph_or_q):
-    """Accept a graph, a scipy ``Q``, or a transition store/snapshot.
+    """Accept a graph, a scipy ``Q``, or a transition store.
 
-    Objects exposing ``rmatvec`` (a live
-    :class:`~repro.linalg.qstore.TransitionStore` or a frozen
-    :class:`~repro.linalg.qstore.TransitionSnapshot`) are used directly
-    — their transpose products are served from the CSC slabs with no
+    Objects exposing ``rmatvec`` (a
+    :class:`~repro.linalg.qstore.TransitionStore`) are used directly —
+    their transpose products are served from the CSC slabs with no
     conversion at all; anything else goes through :func:`resolve_q`.
     """
     if hasattr(graph_or_q, "rmatvec") and hasattr(graph_or_q, "shape"):
@@ -41,8 +44,8 @@ def _resolve_operator(graph_or_q):
 def _walk_vectors(q_matrix, node: int, iterations: int) -> List[np.ndarray]:
     """The stack ``[(Qᵀ)^k e_node]`` for k = 0..iterations.
 
-    The transpose products never build a transposed matrix: a store or
-    snapshot serves ``Qᵀ·x`` straight from its column layout, and for a
+    The transpose products never build a transposed matrix: a store
+    serves ``Qᵀ·x`` straight from its column layout, and for a
     scipy CSR input ``q_matrix.T`` is an O(1) CSC view whose mat-vec is
     native — the old implementation paid an O(nnz) ``.tocsr()``
     conversion on *every* query.

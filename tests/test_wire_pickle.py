@@ -1,7 +1,7 @@
 """Pickle round trips for the library's plan and transition state.
 
-:class:`UpdatePlan` objects, packed transition payloads and frozen
-transition snapshots can be persisted or handed to another process.
+:class:`UpdatePlan` objects and packed transition payloads can be
+persisted or handed to another process.
 These property tests pin that contract: a
 ``pickle.loads(pickle.dumps(x))`` round trip must preserve apply
 semantics and ``Q`` exactly.
@@ -110,16 +110,6 @@ class TestTransitionPayloadPickle:
         rebuilt = _rebuild(_roundtrip(store.export_packed()))
         assert np.array_equal(
             rebuilt.csr_matrix().toarray(), store.csr_matrix().toarray()
-        )
-
-    def test_transition_snapshot_pickles(self):
-        graph = erdos_renyi_digraph(30, 0.08, seed=6)
-        store = TransitionStore.from_graph(graph)
-        snap = store.snapshot()
-        clone = _roundtrip(snap)
-        assert clone.version == snap.version
-        assert np.array_equal(
-            clone.csr_matrix().toarray(), snap.csr_matrix().toarray()
         )
 
 
